@@ -271,7 +271,8 @@ class FieldElement:
         # nonzero base-field element because d is not a square.
         conj = self.conjugate_ext()
         norm = self * conj
-        assert norm.d is None
+        if norm.d is not None:
+            raise ArithmeticError(f"norm of {self} is not in the base field")
         ninv = norm.inverse()
         return conj * ninv
 

@@ -7,6 +7,8 @@ degrees stay far below the point where asymptotics matter.
 
 from __future__ import annotations
 
+import math
+
 from .field import FieldElement, ONE, ZERO
 
 
@@ -151,11 +153,23 @@ class Polynomial:
         return self.scale(self.leading.inverse())
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor (Euclid)."""
+        """Monic greatest common divisor.
+
+        Rational operands go through the primitive remainder sequence over
+        the integers (Knuth, TAOCP vol. 2, 4.6.1), which never builds a
+        Fraction until the monic result; Gaussian and extension operands
+        take monic Euclid.
+        """
+        if self.is_zero or other.is_zero:
+            return (other if self.is_zero else self).monic()
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            return P_ONE
+        if all(c.is_rational for c in self.coeffs + other.coeffs):
+            return _rational_gcd(self.coeffs, other.coeffs)
         a, b = self, other
         while not b.is_zero:
             a, b = b, a % b
-        return a.monic() if not a.is_zero else a
+        return a.monic()
 
     def derivative(self) -> "Polynomial":
         return Polynomial._raw([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -222,6 +236,53 @@ P_X = Polynomial.monomial(1)
 
 def poly_x_minus(c) -> Polynomial:
     return Polynomial([-_coerce_fe(c), ONE])
+
+
+# The integer remainder sequence below keeps coefficient lists in descending
+# order, leading coefficient first.
+
+def _primitive(cs: list) -> list:
+    """cs divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*cs)
+    if cs[0] < 0:
+        g = -g
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _integer_primitive(coeffs) -> list:
+    """Primitive integer multiple of a polynomial with rational coefficients."""
+    qs = [c.ar for c in reversed(coeffs)]
+    lcm = math.lcm(*(q.denominator for q in qs))
+    return _primitive([q.numerator * (lcm // q.denominator) for q in qs])
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """lc(b)^(deg a - deg b + 1) * a mod b, leading zeros stripped."""
+    lb, n = b[0], len(b)
+    while len(a) >= n:
+        c = a[0]
+        a = ([lb * x - c * y for x, y in zip(a[1:n], b[1:])]
+             + [lb * x for x in a[n:]])
+    k = 0
+    while k < len(a) and not a[k]:
+        k += 1
+    return a[k:]
+
+
+def _rational_gcd(a_coeffs, b_coeffs) -> Polynomial:
+    """Monic gcd of two nonconstant rational polynomials (primitive PRS)."""
+    # when deg a < deg b the first remainder is a itself, which swaps them
+    a, b = _integer_primitive(a_coeffs), _integer_primitive(b_coeffs)
+    while True:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            break
+        if len(r) == 1:
+            return P_ONE
+        a, b = b, _primitive(r)
+    lead = b[0]
+    return Polynomial._raw([FieldElement.from_rational(c, lead)
+                            for c in reversed(b)])
 
 
 class LaurentPolynomial:

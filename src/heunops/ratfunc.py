@@ -484,7 +484,7 @@ def poly_roots(p: Polynomial, tol: float = 1e-12):
                                                     Q(im_c.numerator, im_c.denominator)))
         for cand in candidates:
             if any(cand == e for e, _ in exact):
-                break
+                continue
             if abs(cand.to_complex() - z) > max(1e-6, tol):
                 continue
             if remaining.eval(cand).is_zero:

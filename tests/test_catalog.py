@@ -160,6 +160,16 @@ def test_series_records_pass_reference_protocol():
     assert q_check["residuals"][-1] <= 1e-10
 
 
+def test_series_check_with_singular_point_near_one():
+    # a = 3/4 sits next to the singular point 1 (seed 101 draws it)
+    rec = cat.get_case("heun.n2.case1")
+    env = cat.draw_env(rec, 0, 0)
+    env["a"] = fe(3, 4)
+    verdict = cat.verify_case(rec, env=env)
+    assert verdict.passed
+    assert verdict.series_checks and all(c["ok"] for c in verdict.series_checks)
+
+
 def test_ghe_reduction_check():
     rec = cat.get_case("heun.n2.case1")
     ref = {k: eval_scalar(v) for k, v in rec.series["reference"].items()}

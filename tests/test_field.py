@@ -1,11 +1,9 @@
 """Field-level invariants: exact Gaussian rationals with one quadratic root."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from heunops import field
 from heunops.field import (ExtensionMismatchError, FieldElement, I, ONE, ZERO,
                            fe, quadratic_roots)
 
@@ -48,6 +46,15 @@ def test_extension_norm_lands_in_base_field():
         a = rand_extension(rng, d)
         norm = a * a.conjugate_ext()
         assert norm.is_gaussian
+
+
+def test_inverse_checks_norm_without_assert(monkeypatch):
+    # a wrong conjugate leaves a sqrt(d) part in the norm; the check must
+    # raise even under python -O, which strips asserts
+    a = FieldElement.make(1, 0, 1, 0, (2, 0))
+    monkeypatch.setattr(FieldElement, "conjugate_ext", lambda self: self)
+    with pytest.raises(ArithmeticError, match="not in the base field"):
+        a.inverse()
 
 
 def test_sqrt_folds_perfect_squares():
@@ -118,17 +125,6 @@ def test_numeric_embedding():
     assert z == 1 + 2j
     root = fe(2).sqrt().to_complex()
     assert abs(root - 2 ** 0.5) < 1e-15
-
-
-@pytest.fixture(params=["Fraction", "mpq"])
-def backend(request, monkeypatch):
-    """The field module with its scalar type Q set to one backend."""
-    q = Fraction if request.param == "Fraction" else \
-        pytest.importorskip("gmpy2").mpq
-    for name, value in (("Q", q), ("_Q0", q(0)), ("_Q1", q(1)),
-                        ("_Q2", q(2))):
-        monkeypatch.setattr(field, name, value)
-    return q
 
 
 def _gauss_mul(x, y):

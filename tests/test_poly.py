@@ -1,7 +1,10 @@
 import random
 
-from heunops.field import fe
-from heunops.poly import LaurentPolynomial, Polynomial, poly_x_minus
+import sympy as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from heunops.field import FieldElement, fe
+from heunops.poly import LaurentPolynomial, P_ONE, Polynomial, poly_x_minus
 
 
 def rand_poly(rng, deg):
@@ -33,6 +36,122 @@ def test_gcd_common_factor():
     a = common * poly_x_minus(fe(3))
     b = common * poly_x_minus(fe(5))
     assert a.gcd(b) == common.monic()
+
+
+def euclid_gcd(a, b):
+    """Reference: monic Euclid over the coefficient field."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+_X = sp.Symbol("x")
+_SQRT2 = (2, 0)
+
+
+def _sp_rational(q):
+    return sp.Rational(int(q.numerator), int(q.denominator))
+
+
+def _sp_scalar(c):
+    z = _sp_rational(c.ar) + sp.I * _sp_rational(c.ai)
+    if c.d is not None:
+        root = sp.sqrt(_sp_rational(c.d[0]) + sp.I * _sp_rational(c.d[1]))
+        z += (_sp_rational(c.br) + sp.I * _sp_rational(c.bi)) * root
+    return z
+
+
+def to_sympy(p, domain):
+    return sp.Poly([_sp_scalar(c) for c in reversed(p.coeffs)] or [0], _X,
+                   domain=domain)
+
+
+def sympy_gcd(a, b, domain):
+    """Oracle: sympy's gcd over the given domain, made monic."""
+    g = sp.gcd(to_sympy(a, domain), to_sympy(b, domain))
+    return g if g.is_zero else g.monic()
+
+
+_ints = st.integers(-9, 9)
+_dens = st.integers(1, 6)
+
+
+@st.composite
+def rationals(draw):
+    return fe(draw(_ints), draw(_dens))
+
+
+@st.composite
+def gaussians(draw):
+    return FieldElement.make(fe(draw(_ints), draw(_dens)).ar,
+                             fe(draw(_ints), draw(_dens)).ar)
+
+
+@st.composite
+def sqrt2_elements(draw):
+    return FieldElement.make(fe(draw(_ints), draw(_dens)).ar, 0,
+                             fe(draw(_ints), draw(_dens)).ar, 0, _SQRT2)
+
+
+@st.composite
+def gcd_pairs(draw, scalars, max_degree=4):
+    """Two polynomials, half of the time with a planted common factor."""
+    def poly(min_len, max_len):
+        return Polynomial(draw(st.lists(scalars(), min_size=min_len,
+                                        max_size=max_len)))
+
+    a, b = poly(1, max_degree + 1), poly(1, max_degree + 1)
+    if draw(st.booleans()):
+        common = poly(2, 4)
+        a, b = a * common, b * common
+    return a, b
+
+
+_ORACLE_SETTINGS = settings(
+    max_examples=150, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_ORACLE_SETTINGS
+@given(pair=gcd_pairs(rationals))
+def test_gcd_rational_matches_oracles(backend, pair):
+    a, b = pair
+    g = a.gcd(b)
+    assert g == euclid_gcd(a, b)
+    assert to_sympy(g, sp.QQ) == sympy_gcd(a, b, sp.QQ)
+    assert g == b.gcd(a)
+
+
+@_ORACLE_SETTINGS
+@given(pair=gcd_pairs(gaussians, max_degree=3))
+def test_gcd_gaussian_matches_oracles(backend, pair):
+    a, b = pair
+    g = a.gcd(b)
+    assert g == euclid_gcd(a, b)
+    assert to_sympy(g, sp.QQ_I) == sympy_gcd(a, b, sp.QQ_I)
+
+
+@settings(_ORACLE_SETTINGS, max_examples=40)
+@given(pair=gcd_pairs(sqrt2_elements, max_degree=2))
+def test_gcd_extension_matches_oracles(backend, pair):
+    a, b = pair
+    domain = sp.QQ.algebraic_field(sp.sqrt(2))
+    g = a.gcd(b)
+    assert g == euclid_gcd(a, b)
+    assert to_sympy(g, domain) == sympy_gcd(a, b, domain)
+
+
+def test_gcd_zero_and_constant_operands(backend):
+    p = Polynomial([fe(3), fe(-2, 3), fe(4)])
+    zero = Polynomial()
+    assert zero.gcd(zero) == zero
+    assert p.gcd(zero) == zero.gcd(p) == p.monic() == euclid_gcd(p, zero)
+    for c in (fe(5, 7), FieldElement(1, 2)):
+        const = Polynomial.constant(c)
+        assert p.gcd(const) == const.gcd(p) == P_ONE
+        assert const.gcd(zero) == P_ONE
+    assert Polynomial([fe(0), fe(2)]).gcd(Polynomial([fe(0), fe(0), fe(3)])) \
+        == Polynomial.monomial(1)
 
 
 def test_shift_is_substitution():

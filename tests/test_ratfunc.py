@@ -187,6 +187,16 @@ def test_poly_roots_exact_and_numeric():
     assert sorted(round(abs(z), 6) for z in numeric) == [1.414214, 1.414214]
 
 
+def test_poly_roots_candidate_matching_an_extracted_root():
+    # 3/4's coarsest candidate is 1, which is extracted first; the search
+    # must go on to the finer candidates instead of giving up on 3/4
+    p = P_X * poly_x_minus(ONE) * poly_x_minus(fe(3, 4))
+    exact, numeric = poly_roots(p)
+    assert not numeric
+    assert sorted(exact, key=lambda e: e[0].ar) == [
+        (ZERO, 1), (fe(3, 4), 1), (ONE, 1)]
+
+
 def test_subst_inverse():
     f = one_over(poly_x_minus(fe(2)))
     g = f.subst_inverse()  # 1/(1/x - 2) = x/(1-2x)
