@@ -5,7 +5,7 @@ from .poly import Polynomial, LaurentPolynomial
 from .ratfunc import (RationalFunction, PartialFractionForm, partial_fractions,
                       antiderivative, rf, LogObstructionError, PoleError,
                       UnexplainedFactorError)
-from .diffop import DiffOp, compose, commutator, op_equal, gauge_transform
+from .diffop import DiffOp, compose, commutator, gauge_transform
 from .funcalg import ExpMonomial, FunctionSum, apply_op, annihilates
 from .families import (HeunParams, ConfluentParams, ReducedConfluentParams,
                        BiconfluentParams, DoubleConfluentParams,
@@ -27,7 +27,7 @@ __all__ = [
     "RationalFunction", "PartialFractionForm", "partial_fractions",
     "antiderivative", "rf", "LogObstructionError", "PoleError",
     "UnexplainedFactorError",
-    "DiffOp", "compose", "commutator", "op_equal", "gauge_transform",
+    "DiffOp", "compose", "commutator", "gauge_transform",
     "ExpMonomial", "FunctionSum", "apply_op", "annihilates",
     "HeunParams", "ConfluentParams", "ReducedConfluentParams",
     "BiconfluentParams", "DoubleConfluentParams", "TriconfluentParams",

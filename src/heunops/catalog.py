@@ -29,9 +29,10 @@ import json
 import random
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 from .field import FieldElement, ONE, Q, ZERO, fe
-from .diffop import DiffOp, commutator, compose, gauge_transform, op_equal
+from .diffop import DiffOp, commutator, compose, gauge_transform
 from .exprs import eval_exponent, eval_ratfunc, eval_scalar
 from .families import PARAM_NAMES, make_params
 from .funcalg import ExpMonomial, FunctionSum, apply_op, wronskian_numeric
@@ -220,13 +221,17 @@ def resolve_env(record: CaseRecord, env: dict,
     for name, expr in record.constraint.items():
         full[name] = eval_scalar(expr, full)
     if record.family == "heun":
-        full["epsilon"] = (full["alpha"] + full["beta"] + 1
-                           - full["delta"] - full["gamma"])
+        full["epsilon"] = _heun_epsilon(full)
     if record.degree == 2 and "beta2" in full:
         full["mu"] = full["beta0"] / full["beta2"]
     for name, expr in record.defs.items():
         full[name] = eval_scalar(expr, full)
     return full
+
+
+def _heun_epsilon(env: dict) -> FieldElement:
+    """Fuchs relation of the Heun equation: epsilon from the other exponents."""
+    return env["alpha"] + env["beta"] + 1 - env["delta"] - env["gamma"]
 
 
 def _basis_admissible(record: CaseRecord, env: dict) -> bool:
@@ -622,12 +627,11 @@ def verify_case(record: CaseRecord, env: dict | None = None, seed: int = 0,
         # alpha*beta and alpha+beta, but the swapped orientation is run too
         swapped = dict(full)
         swapped["alpha"], swapped["beta"] = full["beta"], full["alpha"]
-        swapped["epsilon"] = (swapped["alpha"] + swapped["beta"] + 1
-                              - swapped["delta"] - swapped["gamma"])
+        swapped["epsilon"] = _heun_epsilon(swapped)
         p_s, q_s = build_case(record, swapped)
-        l_qp, l_pq = compose(q_s, p_s), compose(p_s, q_s)
-        verdict.commutator_zero &= (l_pq - l_qp).is_zero
-        verdict.factorization_equal &= op_equal(l_qp, l_pq)
+        commutes = compose(q_s, p_s) == compose(p_s, q_s)
+        verdict.commutator_zero &= commutes
+        verdict.factorization_equal &= commutes
     return verdict
 
 
@@ -635,9 +639,8 @@ def _verify_once(record: CaseRecord, full: dict, with_series: bool,
                  truncations, radius=None) -> VerificationVerdict:
     p, q = build_case(record, full)
     l_qp = compose(q, p)
-    l_pq = compose(p, q)
-    commutator_zero = (l_pq - l_qp).is_zero
-    factorization_equal = op_equal(l_qp, l_pq)
+    # operators are normalized, so Q∘P == P∘Q is the same fact as [P, Q] = 0
+    commutes = l_qp == compose(p, q)
     basis_results = []
     closed_forms = []
     for label, op, descriptors in (("P", p, record.basis_P),
@@ -674,8 +677,8 @@ def _verify_once(record: CaseRecord, full: dict, with_series: bool,
     ghe_check = _ghe_check(record, full, p, q) if record.ghe else None
     return VerificationVerdict(
         case_id=record.id,
-        commutator_zero=commutator_zero,
-        factorization_equal=factorization_equal,
+        commutator_zero=commutes,
+        factorization_equal=commutes,
         basis_annihilated=basis_results,
         printed_diffs=printed,
         wronskian=wronskian,
@@ -718,6 +721,19 @@ def _ghe_check(record: CaseRecord, env: dict, p: DiffOp, q: DiffOp) -> dict:
 
 # --------------------------------------------------------------------------
 # whole-catalog run
+
+
+def _crash_location(exc: Exception) -> str:
+    """file:line of the innermost heunops frame that the exception left
+    (verify_all's own frame is always among them)."""
+    package = Path(__file__).parent
+    tb = exc.__traceback__
+    while tb is not None:
+        path = Path(tb.tb_frame.f_code.co_filename)
+        if path.parent == package:
+            location = f"heunops/{path.name}:{tb.tb_lineno}"
+        tb = tb.tb_next
+    return location
 
 
 def verify_all(seed: int = 0, draws: int = 3, with_series: bool = True,
@@ -770,7 +786,9 @@ def verify_all(seed: int = 0, draws: int = 3, with_series: bool = True,
             except Exception as exc:  # failures are report data
                 entry = {"case": record.id, "draw": index,
                          "kind": record.kind, "passed": False,
-                         "error": f"{type(exc).__name__}: {exc}"}
+                         "error": f"{type(exc).__name__}: {exc}",
+                         "error_kind": "crash",
+                         "location": _crash_location(exc)}
             results.append(entry)
     documented = sorted({d["doc"] for d in diffs if d.get("doc")})
     missing_docs = [key for key in DOCUMENTED_DISCREPANCIES

@@ -227,7 +227,10 @@ def cmd_verify_all(args) -> int:
     else:
         for row in report["results"]:
             status = "pass" if row["passed"] else "FAIL"
-            extra = f" ({row['error']})" if "error" in row else ""
+            extra = ""
+            if "error" in row:
+                status = "CRASH"
+                extra = f" ({row['error']} at {row['location']})"
             print(f"{status}  {row['case']} draw {row['draw']}{extra}")
         print()
         print("published-table diff report:")

@@ -187,11 +187,6 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return a.compose(b) - b.compose(a)
 
 
-def op_equal(a: DiffOp, b: DiffOp) -> bool:
-    """Equality of normalized operators (zero coefficients ignored)."""
-    return a == b
-
-
 def gauge_transform(op: DiffOp, g: LaurentPolynomial) -> DiffOp:
     """Conjugation e^{-g} ∘ op ∘ e^{g}.
 

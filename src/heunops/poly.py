@@ -2,7 +2,9 @@
 
 Polynomial stores ascending coefficients with a nonzero leading coefficient
 (the zero polynomial is the empty tuple).  Everything is schoolbook: catalog
-degrees stay far below the point where asymptotics matter.
+degrees stay far below the point where asymptotics matter.  Products,
+division and gcds of rational polynomials run over Python ints; Gaussian and
+extension operands take the FieldElement loops.
 """
 
 from __future__ import annotations
@@ -20,13 +22,17 @@ def _coerce_fe(value) -> FieldElement:
 
 
 class Polynomial:
-    __slots__ = ("coeffs",)
+    # _ints caches the integer form (ints, den), coefficient k being
+    # ints[k] / den, or False when a coefficient is not rational; None until
+    # the first integer kernel asks for it.  The kernels never mutate ints.
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs=()):
         cs = [_coerce_fe(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._ints = None
 
     @classmethod
     def _raw(cls, cs):
@@ -34,7 +40,20 @@ class Polynomial:
         while cs and cs[-1].is_zero:
             cs.pop()
         p.coeffs = tuple(cs)
+        p._ints = None
         return p
+
+    def _int_form(self):
+        """(ints, den) with ascending integer ints, or False if not rational."""
+        form = self._ints
+        if form is None:
+            form = False
+            if all(c.is_rational for c in self.coeffs):
+                qs = [c.ar for c in self.coeffs]
+                den = math.lcm(*(q.denominator for q in qs))
+                form = ([q.numerator * (den // q.denominator) for q in qs], den)
+            self._ints = form
+        return form
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
@@ -97,6 +116,13 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial._raw([])
+        fa, fb = self._int_form(), other._int_form()
+        if fa and fb:
+            ints, den = _convolve(fa[0], fb[0]), fa[1] * fb[1]
+            p = Polynomial._raw([FieldElement.from_rational(c, den)
+                                 for c in ints])
+            p._ints = (ints, den)
+            return p
         cs = [ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca.is_zero:
@@ -128,6 +154,9 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Polynomial._raw([]), self
+        fa, fb = self._int_form(), other._int_form()
+        if fa and fb:
+            return _rational_divmod(fa, fb)
         rem = list(self.coeffs)
         dq = self.degree - other.degree
         quot = [ZERO] * (dq + 1)
@@ -157,15 +186,22 @@ class Polynomial:
 
         Rational operands go through the primitive remainder sequence over
         the integers (Knuth, TAOCP vol. 2, 4.6.1), which never builds a
-        Fraction until the monic result; Gaussian and extension operands
-        take monic Euclid.
+        Fraction until the monic result.  A Gaussian or extension operand is
+        first replaced by an integer multiple of its norm down to Q[x]: a
+        common factor of the operands divides both norms, so coprime norms
+        prove the gcd is 1 (Trager 1976).  Otherwise monic Euclid decides.
         """
         if self.is_zero or other.is_zero:
             return (other if self.is_zero else self).monic()
         if len(self.coeffs) == 1 or len(other.coeffs) == 1:
             return P_ONE
-        if all(c.is_rational for c in self.coeffs + other.coeffs):
-            return _rational_gcd(self.coeffs, other.coeffs)
+        fa, fb = self._int_form(), other._int_form()
+        if fa and fb:
+            return _rational_gcd(fa[0], fb[0])
+        na = fa[0] if fa else _norm_ints(self.coeffs)
+        nb = fb[0] if fb else _norm_ints(other.coeffs)
+        if na and nb and _prs_gcd(na, nb) is None:
+            return P_ONE
         a, b = self, other
         while not b.is_zero:
             a, b = b, a % b
@@ -238,8 +274,87 @@ def poly_x_minus(c) -> Polynomial:
     return Polynomial([-_coerce_fe(c), ONE])
 
 
-# The integer remainder sequence below keeps coefficient lists in descending
-# order, leading coefficient first.
+# Integer kernels.  Integer polynomials are lists of Python ints, ascending
+# like Polynomial.coeffs except in the remainder sequence, which keeps them
+# descending, leading coefficient first.
+
+def _convolve(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _rational_divmod(fa, fb):
+    """Exact Q quotient and remainder of two integer forms, deg a >= deg b.
+
+    Pseudo-division with the multiplier reduced at each step: the loop keeps
+    s*A = quot*B + rem, and multiplies by lb/gcd(c, lb) only what the next
+    leading coefficient c needs (nothing at all when lb divides c).
+    """
+    (a, da), (b, db) = fa, fb
+    n = len(b) - 1
+    lb = b[-1]
+    rem = list(a)
+    quot = [0] * (len(a) - n)
+    s = 1
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + n]
+        if not c:
+            continue
+        g = math.gcd(c, lb)
+        m, t = lb // g, c // g
+        if m != 1:
+            s *= m
+            rem = [m * x for x in rem[:k + n]]
+            quot = [m * x for x in quot]
+        for j in range(n):
+            rem[k + j] -= t * b[j]
+        quot[k] = t
+    den, rem = s * da, rem[:n]
+    if not any(rem):
+        rem = []
+    return (Polynomial._raw([FieldElement.from_rational(x * db, den)
+                             for x in quot]),
+            Polynomial._raw([FieldElement.from_rational(x, den) for x in rem]))
+
+
+def _norm_ints(coeffs) -> list | None:
+    """Ascending integer multiple of the norm of a polynomial down to Q[x].
+
+    For coefficients A + B*sqrt(d) the norm to Q(i)[x] is A^2 - d*B^2, taken
+    over a common denominator; for C + i*E, the norm to Q[x] is C^2 + E^2.
+    None when the coefficients mix two extensions.
+    """
+    ds = {c.d for c in coeffs if c.d is not None}
+    if len(ds) > 1:
+        return None
+    cols = list(zip(*((c.ar, c.ai, c.br, c.bi) for c in coeffs)))
+    den = math.lcm(*(q.denominator for col in cols for q in col))
+    ar, ai, br, bi = ([q.numerator * (den // q.denominator) for q in col]
+                      for col in cols)
+    if ds:
+        ((dr, di),) = ds
+        m = math.lcm(dr.denominator, di.denominator)
+        dr, di = dr.numerator * (m // dr.denominator), \
+            di.numerator * (m // di.denominator)
+        brr, bii, bri = _convolve(br, br), _convolve(bi, bi), _convolve(br, bi)
+        arr, aii, ari = _convolve(ar, ar), _convolve(ai, ai), _convolve(ar, ai)
+        # m*den^2 * (A^2 - d*B^2), split into real and imaginary parts
+        re = [m * (w - x) - dr * (y - z) + 2 * di * v
+              for w, x, y, z, v in zip(arr, aii, brr, bii, bri)]
+        im = [2 * (m * u - dr * v) - di * (y - z)
+              for u, v, y, z in zip(ari, bri, brr, bii)]
+    else:
+        re, im = ar, ai
+    if any(im):
+        re = [x + y for x, y in zip(_convolve(re, re), _convolve(im, im))]
+    while re and not re[-1]:
+        re.pop()
+    return re
+
 
 def _primitive(cs: list) -> list:
     """cs divided by its content, with a positive leading coefficient."""
@@ -247,13 +362,6 @@ def _primitive(cs: list) -> list:
     if cs[0] < 0:
         g = -g
     return cs if g == 1 else [c // g for c in cs]
-
-
-def _integer_primitive(coeffs) -> list:
-    """Primitive integer multiple of a polynomial with rational coefficients."""
-    qs = [c.ar for c in reversed(coeffs)]
-    lcm = math.lcm(*(q.denominator for q in qs))
-    return _primitive([q.numerator * (lcm // q.denominator) for q in qs])
 
 
 def _pseudo_remainder(a: list, b: list) -> list:
@@ -269,20 +377,29 @@ def _pseudo_remainder(a: list, b: list) -> list:
     return a[k:]
 
 
-def _rational_gcd(a_coeffs, b_coeffs) -> Polynomial:
-    """Monic gcd of two nonconstant rational polynomials (primitive PRS)."""
+def _prs_gcd(a: list, b: list) -> list | None:
+    """Primitive gcd (descending) of two nonconstant ascending integer
+    polynomials, or None when they are coprime (primitive PRS)."""
     # when deg a < deg b the first remainder is a itself, which swaps them
-    a, b = _integer_primitive(a_coeffs), _integer_primitive(b_coeffs)
+    a, b = _primitive(a[::-1]), _primitive(b[::-1])
     while True:
         r = _pseudo_remainder(a, b)
         if not r:
-            break
+            return b
         if len(r) == 1:
-            return P_ONE
+            return None
         a, b = b, _primitive(r)
-    lead = b[0]
-    return Polynomial._raw([FieldElement.from_rational(c, lead)
-                            for c in reversed(b)])
+
+
+def _rational_gcd(a: list, b: list) -> Polynomial:
+    """Monic gcd of two nonconstant ascending integer polynomials."""
+    g = _prs_gcd(a, b)
+    if g is None:
+        return P_ONE
+    g.reverse()
+    p = Polynomial._raw([FieldElement.from_rational(c, g[-1]) for c in g])
+    p._ints = (g, g[-1])
+    return p
 
 
 class LaurentPolynomial:

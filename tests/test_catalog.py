@@ -184,3 +184,30 @@ def test_documented_discrepancies_all_surface():
     assert not report["summary"]["missing_documented"]
     docs = {d.get("doc") for d in report["printed_diffs"] if d.get("doc")}
     assert docs == set(cat.DOCUMENTED_DISCREPANCIES)
+
+
+def test_verify_all_reports_a_crash_as_a_crash(monkeypatch):
+    def broken_build(record, env):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(cat, "build_case", broken_build)
+    records = [cat.get_case("heun.n1.case4"), cat.get_case("heun.n1.case3")]
+    report = cat.verify_all(seed=0, draws=1, with_series=False, cases=records)
+    assert report["summary"]["failed"] == 2
+    for entry in report["results"]:
+        assert entry["passed"] is False
+        assert entry["error"] == "ZeroDivisionError: planted"
+        assert entry["error_kind"] == "crash"
+        # the innermost heunops frame is the call into the patched builder
+        path, line = entry["location"].split(":")
+        assert path == "heunops/catalog.py"
+        with open(cat.__file__) as fh:
+            assert "build_case(" in fh.read().splitlines()[int(line) - 1]
+    assert "commutator_zero" not in report["results"][0]
+
+
+def test_verify_all_decided_entries_carry_no_error_kind():
+    records = [cat.get_case("heun.n1.case3")]
+    report = cat.verify_all(seed=0, draws=1, with_series=False, cases=records)
+    (entry,) = report["results"]
+    assert entry["passed"] and "error_kind" not in entry

@@ -149,3 +149,25 @@ def test_verify_all_emits_json_lines(capsys, monkeypatch):
     diff_rows = [l for l in lines if "diff" in l]
     assert any(l["diff"].get("doc") == "heun-n2-case4-order"
                for l in diff_rows)
+
+
+def test_verify_all_text_marks_crashes(capsys, monkeypatch):
+    from heunops import catalog as cat
+
+    subset = [cat.get_case("heun.n1.case3")]
+    original = cat.verify_all
+
+    def broken_build(record, env):
+        raise ZeroDivisionError("planted")
+
+    def patched(seed=0, truncations=(10, 20, 40), **kwargs):
+        return original(seed=seed, truncations=truncations, cases=subset,
+                        with_series=False, draws=1)
+
+    monkeypatch.setattr(cat, "verify_all", patched)
+    monkeypatch.setattr(cat, "build_case", broken_build)
+    code, out, _ = run_cli(capsys, "verify-all", "--format", "text")
+    assert code == 1
+    first = out.splitlines()[0]
+    assert first.startswith("CRASH  heun.n1.case3 draw 0 ")
+    assert "ZeroDivisionError: planted at heunops/catalog.py:" in first

@@ -11,8 +11,7 @@ from math import factorial
 from heunops.field import fe
 from heunops.poly import LaurentPolynomial, P_ONE, P_X, Polynomial, poly_x_minus
 from heunops.ratfunc import RF_ONE, RF_ZERO, RationalFunction
-from heunops.diffop import (DiffOp, commutator, compose, gauge_transform,
-                            op_equal)
+from heunops.diffop import DiffOp, commutator, compose, gauge_transform
 
 
 def rand_rf(rng, max_deg=2):
@@ -200,9 +199,9 @@ def test_gauge_reduction_on_degree2_companion():
 def test_op_equal_normalization():
     d2 = DiffOp.derivative_op(2)
     padded = DiffOp([RF_ZERO, RF_ZERO, RF_ONE])
-    assert op_equal(d2, padded)
-    assert op_equal(d2, d2)
-    assert not op_equal(d2, DiffOp.derivative_op(1))
+    assert d2 == padded
+    assert d2 == d2
+    assert not d2 == DiffOp.derivative_op(1)
 
 
 def test_apply_operator():

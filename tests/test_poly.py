@@ -1,9 +1,11 @@
 import random
 
+import pytest
 import sympy as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from heunops.field import FieldElement, fe
+from heunops import poly
+from heunops.field import ZERO, FieldElement, fe
 from heunops.poly import LaurentPolynomial, P_ONE, Polynomial, poly_x_minus
 
 
@@ -43,6 +45,14 @@ def euclid_gcd(a, b):
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+def _assert_integer_form(p):
+    """The cached integer form, when present, reads back as p."""
+    form = p._ints
+    if form:
+        ints, den = form
+        assert [fe(c, den) for c in ints] == list(p.coeffs)
 
 
 _X = sp.Symbol("x")
@@ -120,6 +130,9 @@ def test_gcd_rational_matches_oracles(backend, pair):
     assert g == euclid_gcd(a, b)
     assert to_sympy(g, sp.QQ) == sympy_gcd(a, b, sp.QQ)
     assert g == b.gcd(a)
+    _assert_integer_form(g)
+    if not g.is_zero:
+        assert (a // g) * g == a
 
 
 @_ORACLE_SETTINGS
@@ -152,6 +165,174 @@ def test_gcd_zero_and_constant_operands(backend):
         assert const.gcd(zero) == P_ONE
     assert Polynomial([fe(0), fe(2)]).gcd(Polynomial([fe(0), fe(0), fe(3)])) \
         == Polynomial.monomial(1)
+
+
+# -- the norm certificate for Gaussian and extension gcds ---------------------
+
+_D_NONREAL = (1, 2)
+
+
+@st.composite
+def nonreal_ext_elements(draw):
+    """Elements of Q(i, sqrt(1 + 2i)); 1 + 2i is not a square in Q(i)."""
+    return FieldElement.make(*(fe(draw(_ints), draw(_dens)).ar
+                               for _ in range(4)), d=_D_NONREAL)
+
+
+def _norm_falls_through(a, b):
+    """True when the norms of a and b share a factor over Q."""
+    na = poly._norm_ints(a.coeffs)
+    nb = poly._norm_ints(b.coeffs)
+    return poly._prs_gcd(na, nb) is not None
+
+
+@st.composite
+def traffic_pairs(draw, scalars):
+    """A numerator over an extension against a rational denominator with
+    roots in {0, 1, a}, half of the time sharing one of those roots."""
+    a = fe(draw(st.integers(2, 9)), draw(st.integers(1, 5)))
+    if a.is_one:
+        a = fe(3)
+    roots = [fe(0), fe(1), a]
+    den = Polynomial([fe(1)])
+    for root in roots:
+        den = den * poly_x_minus(root) ** draw(st.integers(0, 2))
+    if den.degree < 1:
+        den = den * poly_x_minus(roots[draw(st.integers(0, 2))])
+    num = Polynomial(draw(st.lists(scalars(), min_size=2, max_size=4)))
+    if draw(st.booleans()):
+        num = num * poly_x_minus(roots[draw(st.integers(0, 2))])
+    return num, den
+
+
+@_ORACLE_SETTINGS
+@given(pair=traffic_pairs(sqrt2_elements))
+def test_gcd_certificate_on_sqrt2_traffic(backend, pair):
+    num, den = pair
+    domain = sp.QQ.algebraic_field(sp.sqrt(2))
+    g = num.gcd(den)
+    assert g == den.gcd(num) == euclid_gcd(num, den)
+    assert to_sympy(g, domain) == sympy_gcd(num, den, domain)
+
+
+@_ORACLE_SETTINGS
+@given(pair=traffic_pairs(gaussians))
+def test_gcd_certificate_on_gaussian_traffic(backend, pair):
+    num, den = pair
+    g = num.gcd(den)
+    assert g == den.gcd(num) == euclid_gcd(num, den)
+    assert to_sympy(g, sp.QQ_I) == sympy_gcd(num, den, sp.QQ_I)
+
+
+def test_gcd_certificate_falls_through_on_conjugates(backend):
+    sqrt2 = FieldElement.make(0, 0, 1, 0, _SQRT2)
+    a, b = poly_x_minus(sqrt2), poly_x_minus(-sqrt2)
+    # both norms are x^2 - 2, so the certificate cannot decide
+    assert _norm_falls_through(a, b)
+    assert a.gcd(b) == b.gcd(a) == euclid_gcd(a, b) == P_ONE
+    shared = poly_x_minus(fe(1, 3))
+    assert (a * shared).gcd(b * shared) == shared
+    i = FieldElement(0, 1)
+    c, e = poly_x_minus(i), poly_x_minus(-i)
+    assert _norm_falls_through(c, e)
+    assert c.gcd(e) == euclid_gcd(c, e) == P_ONE
+    assert (c * e).gcd(c) == c
+
+
+@settings(_ORACLE_SETTINGS, max_examples=40)
+@given(pair=gcd_pairs(nonreal_ext_elements, max_degree=2))
+def test_gcd_certificate_nonreal_discriminant(backend, pair):
+    a, b = pair
+    assert a.gcd(b) == b.gcd(a) == euclid_gcd(a, b)
+    for p in (a, b):
+        if p.degree > 0:
+            # the integer norm lies in Q[x] and is a multiple of p and of
+            # its extension conjugate
+            norm = Polynomial([fe(c) for c in poly._norm_ints(p.coeffs)])
+            conj = Polynomial([c.conjugate_ext() for c in p.coeffs])
+            assert norm.degree >= p.degree
+            assert (norm % p).is_zero and (norm % conj).is_zero
+
+
+def test_gcd_certificate_mixed_extensions_fall_back(backend):
+    sqrt2 = FieldElement.make(0, 0, 1, 0, _SQRT2)
+    sqrt3 = FieldElement.make(0, 0, 1, 0, (3, 0))
+    mixed = Polynomial([sqrt2, sqrt3, fe(1)])
+    assert poly._norm_ints(mixed.coeffs) is None
+    assert mixed.gcd(Polynomial([fe(0), fe(1)])) == P_ONE
+
+
+# -- integer multiply and divide ------------------------------------------------
+
+
+def schoolbook_mul(a, b):
+    """Reference: the product by FieldElement convolution."""
+    cs = [ZERO] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            cs[i + j] = cs[i + j] + x * y
+    return Polynomial(cs)
+
+
+def schoolbook_divmod(a, b):
+    """Reference: long division over FieldElement by the leading inverse."""
+    n = b.degree
+    rem = list(a.coeffs)
+    quot = [ZERO] * max(len(rem) - n, 0)
+    inv = b.leading.inverse()
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + n] * inv
+        quot[k] = c
+        for j, y in enumerate(b.coeffs):
+            rem[k + j] = rem[k + j] - c * y
+    return Polynomial(quot), Polynomial(rem[:n])
+
+
+@st.composite
+def mul_div_operands(draw, kind):
+    """Operand pairs: both rational, or one of them over Q(sqrt 2) or Q(i)."""
+    def poly_of(scalars, max_len):
+        return Polynomial(draw(st.lists(scalars(), min_size=0,
+                                        max_size=max_len)))
+
+    if kind == "rational":
+        return poly_of(rationals, 7), poly_of(rationals, 4)
+    other = draw(st.sampled_from([sqrt2_elements, gaussians]))
+    a, b = poly_of(rationals, 6), poly_of(other, 3)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@pytest.mark.parametrize("kind", ["rational", "mixed"])
+@_ORACLE_SETTINGS
+@given(data=st.data())
+def test_integer_mul_and_divmod_match_schoolbook(backend, kind, data):
+    a, b = data.draw(mul_div_operands(kind))
+    product = a * b
+    assert product == schoolbook_mul(a, b) == b * a
+    _assert_integer_form(product)
+    if kind == "rational":
+        assert bool(product._ints) == (not product.is_zero)
+    if b.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+        return
+    quot, rem = a.divmod(b)
+    assert (quot, rem) == schoolbook_divmod(a, b)
+    assert rem.is_zero or rem.degree < b.degree
+    # the cached integer form of a product feeds the next operation
+    assert product.divmod(b) == (a, Polynomial())
+    assert (product * b).divmod(b * b) == (a, Polynomial())
+    assert (product + rem).divmod(b) == schoolbook_divmod(product + rem, b)
+
+
+def test_integer_divmod_non_monic_divisors(backend):
+    b = Polynomial([fe(-1, 3), fe(5, 2), fe(-6, 7)])
+    for a in (Polynomial([fe(k, k + 2) for k in range(1, 8)]),
+              Polynomial([fe(0), fe(0), fe(0), fe(0), fe(9, 4)]),
+              b * Polynomial([fe(2), fe(-3, 5)]) + Polynomial([fe(1, 11)])):
+        assert a.divmod(b) == schoolbook_divmod(a, b)
+    quot, rem = (b * b + Polynomial([fe(1, 11)])).divmod(b)
+    assert quot == b and rem == Polynomial([fe(1, 11)])
 
 
 def test_shift_is_substitution():

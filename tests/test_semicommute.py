@@ -7,7 +7,7 @@ import pytest
 from heunops.field import fe, ZERO
 from heunops.poly import P_ONE, P_X, Polynomial, poly_x_minus
 from heunops.ratfunc import RationalFunction, rf
-from heunops.diffop import DiffOp, commutator, compose, op_equal
+from heunops.diffop import DiffOp, commutator, compose
 from heunops.families import BiconfluentParams, HeunParams
 from heunops.semicommute import (GorderObstructionError, NotSemiCommutingError,
                                  OperatorShapeError, SemiCommuteSpec,
@@ -185,7 +185,7 @@ def test_commuting_pair_compositions_agree():
     q = build_q1(p, spec1(fe(1), fe(1)))
     rep = residual(p, q)
     assert rep.commutes
-    assert op_equal(compose(p, q), compose(q, p))
+    assert compose(p, q) == compose(q, p)
 
 
 def test_residual_rejects_wide_commutator():
