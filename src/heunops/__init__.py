@@ -7,10 +7,7 @@ from .ratfunc import (RationalFunction, PartialFractionForm, partial_fractions,
                       UnexplainedFactorError)
 from .diffop import DiffOp, compose, commutator, gauge_transform
 from .funcalg import ExpMonomial, FunctionSum, apply_op, annihilates
-from .families import (HeunParams, ConfluentParams, ReducedConfluentParams,
-                       BiconfluentParams, DoubleConfluentParams,
-                       TriconfluentParams, ReducedTriconfluentParams,
-                       build_P, classify_singularities, make_params,
+from .families import (FAMILIES, Family, classify_singularities,
                        ParameterError)
 from .semicommute import (SemiCommuteSpec, ResidualReport, build_q1, build_q2,
                           gorder_q1, residual, counterexample_report)
@@ -29,10 +26,7 @@ __all__ = [
     "UnexplainedFactorError",
     "DiffOp", "compose", "commutator", "gauge_transform",
     "ExpMonomial", "FunctionSum", "apply_op", "annihilates",
-    "HeunParams", "ConfluentParams", "ReducedConfluentParams",
-    "BiconfluentParams", "DoubleConfluentParams", "TriconfluentParams",
-    "ReducedTriconfluentParams", "build_P", "classify_singularities",
-    "make_params", "ParameterError",
+    "FAMILIES", "Family", "classify_singularities", "ParameterError",
     "SemiCommuteSpec", "ResidualReport", "build_q1", "build_q2", "gorder_q1",
     "residual", "counterexample_report",
     "FrobeniusSolution", "frobenius_series", "indicial_roots",

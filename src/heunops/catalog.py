@@ -19,8 +19,9 @@ verify_case rebuilds everything from exact arithmetic:
   * the numeric Wronskian at x = 1/3 certifies basis independence.
 
 The published-value constants in the tables use the catalog's own labeling
-of the companion constants (beta0/beta1/beta2); build specs are produced
-from those labels by the per-family relabeling in construction_spec.
+of the companion constants (beta0/beta1/beta2); construction_spec maps those
+labels to the construction's constants with the relabeling rows of the
+family table (heunops.families).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 from .field import FieldElement, ONE, Q, ZERO, fe
 from .diffop import DiffOp, commutator, compose, gauge_transform
 from .exprs import eval_exponent, eval_ratfunc, eval_scalar
-from .families import PARAM_NAMES, make_params
+from .families import FAMILIES, assign
 from .funcalg import ExpMonomial, FunctionSum, apply_op, wronskian_numeric
 from .poly import Polynomial
 from .ratfunc import RationalFunction, partial_fractions
@@ -220,18 +221,12 @@ def resolve_env(record: CaseRecord, env: dict,
         full.update(overrides)
     for name, expr in record.constraint.items():
         full[name] = eval_scalar(expr, full)
-    if record.family == "heun":
-        full["epsilon"] = _heun_epsilon(full)
+    full = assign(FAMILIES[record.family].derived, full)
     if record.degree == 2 and "beta2" in full:
         full["mu"] = full["beta0"] / full["beta2"]
     for name, expr in record.defs.items():
         full[name] = eval_scalar(expr, full)
     return full
-
-
-def _heun_epsilon(env: dict) -> FieldElement:
-    """Fuchs relation of the Heun equation: epsilon from the other exponents."""
-    return env["alpha"] + env["beta"] + 1 - env["delta"] - env["gamma"]
 
 
 def _basis_admissible(record: CaseRecord, env: dict) -> bool:
@@ -266,44 +261,17 @@ def _basis_function(descriptor, env: dict) -> FunctionSum:
 
 def construction_spec(family: str, degree: int, env: dict) -> SemiCommuteSpec:
     """Map catalog-labeled constants to the construction's integration
-    constants.
-
-    Published companion families absorb the constant part of p1 (and for
-    degree 2 the constant part of p0) into their labeled constants; this
-    relabeling makes build_q1/build_q2 reproduce the published operators
-    exactly.
-    """
-    b0, b1 = env["beta0"], env["beta1"]
-    if degree == 1:
-        if family == "confluent":
-            b0 = b0 - b1 * env["p"] / 2
-        elif family in ("biconfluent", "double_confluent"):
-            b0 = b0 + b1 / 2
-        elif family == "triconfluent":
-            b0 = b0 - b1 * env["sigma"] / 2
-        return SemiCommuteSpec(degree=1, beta0=b0, beta1=b1)
-    b2 = env["beta2"]
-    if family == "confluent":
-        b1 = b1 - b2 * env["p"]
-        b0 = b0 - b1 * env["p"] / 2
-    elif family in ("biconfluent", "double_confluent"):
-        b1 = b1 + b2
-        b0 = b0 + b1 / 2
-        if family == "biconfluent":
-            b0 = b0 + b2 * env["alpha"]
-    elif family == "triconfluent":
-        b1 = b1 - b2 * env["sigma"]
-        b0 = b0 - b1 * env["sigma"] / 2 + b2 * env["q"]
-    elif family == "reduced_triconfluent":
-        b0 = b0 - b2 * env["A0"]
-    return SemiCommuteSpec(degree=2, beta0=b0, beta1=b1, beta2=b2)
+    constants, with the family's relabeling row for this degree; this makes
+    build_q1/build_q2 reproduce the published operators exactly."""
+    b = assign(FAMILIES[family].relabel[degree], env)
+    return SemiCommuteSpec(degree=degree, beta0=b["beta0"], beta1=b["beta1"],
+                           beta2=b["beta2"] if degree == 2 else None)
 
 
 def build_case(record: CaseRecord, env: dict):
     """(P, Q) for a resolved environment."""
-    values = {name: env[name] for name in PARAM_NAMES[record.family]}
-    params = make_params(record.family, values)
-    p = params.build()
+    family = FAMILIES[record.family]
+    p = family.build({name: env[name] for name in family.params})
     spec = construction_spec(record.family, record.degree, env)
     q = build_q1(p, spec) if record.degree == 1 else build_q2(p, spec)
     return p, q
@@ -624,10 +592,10 @@ def verify_case(record: CaseRecord, env: dict | None = None, seed: int = 0,
                            truncations=truncations, radius=radius)
     if record.symmetric:
         # the mirrored branch swaps alpha and beta; the operator only sees
-        # alpha*beta and alpha+beta, but the swapped orientation is run too
+        # alpha*beta and alpha+beta, but the swapped orientation is run too;
+        # build_case derives epsilon from the swapped pair
         swapped = dict(full)
         swapped["alpha"], swapped["beta"] = full["beta"], full["alpha"]
-        swapped["epsilon"] = _heun_epsilon(swapped)
         p_s, q_s = build_case(record, swapped)
         commutes = compose(q_s, p_s) == compose(p_s, q_s)
         verdict.commutator_zero &= commutes

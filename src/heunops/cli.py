@@ -2,7 +2,8 @@
 
 Subcommands: families, build, semicommute, residual, local-points, compose,
 gauge, verify-case, verify-all, counterexample-gorder.  Exit codes: 0 all
-checks pass, 1 a verification was falsified, 2 usage or parameter error.
+checks pass, 1 a verification was falsified, 2 usage or parameter error,
+3 a verify-all run crashed (raised instead of deciding; wins over 1).
 All exact numbers in JSON output are strings; numeric values carry
 "approx": true.
 """
@@ -17,7 +18,7 @@ from . import catalog as cat
 from . import serialize as ser
 from .exprs import ExprError, eval_exponent, parse_assignments
 from .diffop import DiffOp, compose, gauge_transform
-from .families import PARAM_NAMES, ParameterError, make_params
+from .families import FAMILIES, PARAM_NAMES, ParameterError
 from .semicommute import (GorderObstructionError, NotSemiCommutingError,
                           SemiCommuteSpec, build_q1, build_q2,
                           counterexample_report, residual)
@@ -25,6 +26,7 @@ from .semicommute import (GorderObstructionError, NotSemiCommutingError,
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
+EXIT_CRASH = 3
 
 
 class CliError(Exception):
@@ -66,12 +68,10 @@ def _load_operator(arg: str) -> DiffOp:
     return ser.decode_diffop(json.loads(text))
 
 
-def _params_from_args(args) -> tuple:
+def _operator_from_args(args) -> DiffOp:
     if not args.family or args.params is None:
         raise CliError("--family and --params are required")
-    values = parse_assignments(args.params)
-    params = make_params(args.family, values)
-    return params, params.build()
+    return FAMILIES[args.family].build(parse_assignments(args.params))
 
 
 def _spec_from_args(args) -> SemiCommuteSpec:
@@ -104,13 +104,13 @@ def _emit_operator(op: DiffOp, fmt: str):
 
 
 def cmd_build(args) -> int:
-    _, op = _params_from_args(args)
+    op = _operator_from_args(args)
     _emit_operator(op, args.format)
     return EXIT_OK
 
 
 def cmd_semicommute(args) -> int:
-    _, op = _params_from_args(args)
+    op = _operator_from_args(args)
     spec = _spec_from_args(args)
     q = build_q1(op, spec) if args.degree == 1 else build_q2(op, spec)
     _emit_operator(q, args.format)
@@ -118,7 +118,7 @@ def cmd_semicommute(args) -> int:
 
 
 def _residual_report(args):
-    _, op = _params_from_args(args)
+    op = _operator_from_args(args)
     spec = _spec_from_args(args)
     q = build_q1(op, spec) if args.degree == 1 else build_q2(op, spec)
     return residual(op, q)
@@ -243,6 +243,8 @@ def cmd_verify_all(args) -> int:
         print()
         print(f"cases: {summary['cases']}  runs: {summary['runs']}  "
               f"passed: {summary['passed']}  failed: {summary['failed']}")
+    if any(row.get("error_kind") == "crash" for row in report["results"]):
+        return EXIT_CRASH
     return EXIT_OK if report["summary"]["failed"] == 0 else EXIT_FALSIFIED
 
 

@@ -194,15 +194,7 @@ def gauge_transform(op: DiffOp, g: LaurentPolynomial) -> DiffOp:
     result is sum_k c_k (d + g')^k; one code path covers every exponent shape
     (A*x, x^3/3 - sigma*x, nu/x, ...).
     """
-    gprime = g.derivative()
-    shift_rf = RF_ZERO
-    for k, v in gprime.terms.items():
-        if k >= 0:
-            shift_rf = shift_rf + RationalFunction.from_polynomial(
-                Polynomial.monomial(k, v))
-        else:
-            shift_rf = shift_rf + RationalFunction(
-                Polynomial.constant(v), Polynomial.monomial(-k))
+    shift_rf = RationalFunction.from_laurent(g.derivative())
     conjugated_d = DiffOp([shift_rf, RF_ONE])
     out = DiffOp.zero()
     power = DiffOp([RF_ONE])

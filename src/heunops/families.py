@@ -1,33 +1,29 @@
-"""Constructors for the seven operators of the Heun class.
+"""The seven operators of the Heun class, as one table.
 
-Each parameter set builds the monic second-order operator d^2 + p1 d + p0
-with the standard coefficient tables:
+Each family is one row: its ordered parameter names and the coefficients of
+the monic operator d^2 + p1 d + p0, written in the expression language of
+heunops.exprs.  A row may also carry
 
-    heun                   p1 = gamma/x + delta/(x-1) + epsilon/(x-a)
-                           p0 = (alpha*beta*x - q) / (x(x-1)(x-a))
-                           epsilon = alpha + beta + 1 - delta - gamma
-    confluent              p1 = p + gamma/x + delta/(x-1)
-                           p0 = (p*alpha*x - q) / (x(x-1))
-    reduced confluent      p1 = gamma/x + delta/(x-1)
-                           p0 = (kappa*x + q) / (x(x-1))
-    biconfluent            p1 = tau/x + nu/x^2 - 1,  p0 = -(alpha*x + q)/x
-    double confluent       p1 = tau/x + nu/x^2 - 1,  p0 = -(alpha*x + q)/x^2
-    triconfluent           p1 = sigma - x^2,         p0 = alpha*x - q
-    reduced triconfluent   p1 = 0,  p0 = A0 + A1 x + A2 x^2 - (9/4) x^4
+  * derived names, computed from the parameters (the Heun Fuchs relation
+    gives epsilon, so epsilon is never a parameter);
+  * excluded values (Heun's a in {0, 1}: merged-singularity requests are
+    served by the confluent rows, which build that operator directly);
+  * the relabelings of the companion constants for degrees 1 and 2, which
+    map the catalog's published beta0/beta1/beta2 to the integration
+    constants of build_q1/build_q2 (published companions absorb the constant
+    parts of p1 and p0 into their labeled constants).
 
-epsilon is always recomputed from the accessory parameters (it is not a
-stored field), and a in {0, 1} is rejected: merged-singularity requests are
-served by the confluent constructors, which build that operator directly.
+Derived names and relabelings are ordered "name = expr" assignments; each
+sees the ones before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .field import FieldElement, ONE, ZERO, fe
+from .field import FieldElement, ZERO, ONE, fe
 from .diffop import DiffOp
-from .poly import P_X, Polynomial, poly_x_minus
-from .ratfunc import RF_ZERO, RationalFunction, pole_order, poly_roots
+from .exprs import eval_ratfunc, eval_scalar
+from .poly import P_X, Polynomial
+from .ratfunc import RationalFunction, pole_order, poly_roots
 
 
 class ParameterError(ValueError):
@@ -48,206 +44,97 @@ def _fe(value) -> FieldElement:
     return el
 
 
-def _over(num: Polynomial, den: Polynomial) -> RationalFunction:
-    return RationalFunction(num, den)
+def assign(assignments, env: dict) -> dict:
+    """env extended by ordered "name = expr" assignments."""
+    out = dict(env)
+    for text in assignments:
+        name, expr = text.split("=", 1)
+        out[name.strip()] = eval_scalar(expr, out)
+    return out
 
 
-@dataclass(frozen=True)
-class HeunParams:
-    a: FieldElement
-    q: FieldElement
-    alpha: FieldElement
-    beta: FieldElement
-    gamma: FieldElement
-    delta: FieldElement
+class Family:
+    """One row of the family table (see the module docstring)."""
 
-    family = "heun"
+    def __init__(self, name: str, params: str, p1: str, p0: str,
+                 derived=(), exclude=None, relabel=None):
+        self.name = name
+        self.params = tuple(params.split())
+        self.p1 = p1
+        self.p0 = p0
+        self.derived = tuple(derived)
+        self.exclude = exclude  # (parameter, excluded values, hint)
+        self.relabel = {1: (), 2: (), **(relabel or {})}
 
-    def __post_init__(self):
-        for name in ("a", "q", "alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, _fe(getattr(self, name)))
-        if self.a == ZERO or self.a == ONE:
+    def values(self, given: dict) -> dict:
+        """The exact parameters in given, validated, plus the derived names."""
+        missing = [n for n in self.params if n not in given]
+        extra = [n for n in given if n not in self.params]
+        if missing or extra:
             raise ParameterError(
-                "heun requires a not in {0, 1}; for the merged-singularity "
-                "operator use the confluent/reduced-confluent constructors")
+                f"{self.name} expects parameters {self.params}; "
+                f"missing {missing or 'none'}, unexpected {extra or 'none'}")
+        env = {n: _fe(given[n]) for n in self.params}
+        if self.exclude:
+            name, bad, hint = self.exclude
+            if any(env[name] == eval_scalar(v) for v in bad):
+                raise ParameterError(f"{self.name} requires {name} not in "
+                                     f"{{{', '.join(bad)}}}; {hint}")
+        return assign(self.derived, env)
 
-    @property
-    def epsilon(self) -> FieldElement:
-        return self.alpha + self.beta + 1 - self.delta - self.gamma
-
-    def build(self) -> DiffOp:
-        x, x1, xa = P_X, poly_x_minus(ONE), poly_x_minus(self.a)
-        p1 = (_over(Polynomial.constant(self.gamma), x)
-              + _over(Polynomial.constant(self.delta), x1)
-              + _over(Polynomial.constant(self.epsilon), xa))
-        p0 = _over(Polynomial([-self.q, self.alpha * self.beta]), x * x1 * xa)
-        return DiffOp([p0, p1, ONE])
-
-
-@dataclass(frozen=True)
-class ConfluentParams:
-    p: FieldElement
-    q: FieldElement
-    alpha: FieldElement
-    gamma: FieldElement
-    delta: FieldElement
-
-    family = "confluent"
-
-    def __post_init__(self):
-        for name in ("p", "q", "alpha", "gamma", "delta"):
-            object.__setattr__(self, name, _fe(getattr(self, name)))
-
-    def build(self) -> DiffOp:
-        x, x1 = P_X, poly_x_minus(ONE)
-        p1 = (RationalFunction.constant(self.p)
-              + _over(Polynomial.constant(self.gamma), x)
-              + _over(Polynomial.constant(self.delta), x1))
-        p0 = _over(Polynomial([-self.q, self.p * self.alpha]), x * x1)
-        return DiffOp([p0, p1, ONE])
+    def build(self, given: dict) -> DiffOp:
+        env = self.values(given)
+        return DiffOp([eval_ratfunc(self.p0, env), eval_ratfunc(self.p1, env),
+                       ONE])
 
 
-@dataclass(frozen=True)
-class ReducedConfluentParams:
-    kappa: FieldElement
-    gamma: FieldElement
-    delta: FieldElement
-    q: FieldElement
-
-    family = "reduced_confluent"
-
-    def __post_init__(self):
-        for name in ("kappa", "gamma", "delta", "q"):
-            object.__setattr__(self, name, _fe(getattr(self, name)))
-
-    def build(self) -> DiffOp:
-        x, x1 = P_X, poly_x_minus(ONE)
-        p1 = (_over(Polynomial.constant(self.gamma), x)
-              + _over(Polynomial.constant(self.delta), x1))
-        p0 = _over(Polynomial([self.q, self.kappa]), x * x1)
-        return DiffOp([p0, p1, ONE])
+class _Table(dict):
+    def __missing__(self, name):
+        raise ParameterError(f"unknown family {name!r}; "
+                             f"known: {', '.join(sorted(self))}")
 
 
-@dataclass(frozen=True)
-class BiconfluentParams:
-    tau: FieldElement
-    nu: FieldElement
-    alpha: FieldElement
-    q: FieldElement
+FAMILIES = _Table((row.name, row) for row in (
+    Family("heun", "a q alpha beta gamma delta",
+           p1="gamma/x + delta/(x-1) + epsilon/(x-a)",
+           p0="(alpha*beta*x - q)/(x*(x-1)*(x-a))",
+           derived=["epsilon = alpha + beta + 1 - delta - gamma"],
+           exclude=("a", ("0", "1"), "for the merged-singularity operator "
+                    "use the confluent/reduced-confluent constructors")),
+    Family("confluent", "p q alpha gamma delta",
+           p1="p + gamma/x + delta/(x-1)",
+           p0="(p*alpha*x - q)/(x*(x-1))",
+           relabel={1: ["beta0 = beta0 - beta1*p/2"],
+                    2: ["beta1 = beta1 - beta2*p",
+                        "beta0 = beta0 - beta1*p/2"]}),
+    Family("reduced_confluent", "kappa gamma delta q",
+           p1="gamma/x + delta/(x-1)",
+           p0="(kappa*x + q)/(x*(x-1))"),
+    Family("biconfluent", "tau nu alpha q",
+           p1="tau/x + nu/x^2 - 1",
+           p0="-(alpha*x + q)/x",
+           relabel={1: ["beta0 = beta0 + beta1/2"],
+                    2: ["beta1 = beta1 + beta2",
+                        "beta0 = beta0 + beta1/2 + beta2*alpha"]}),
+    Family("double_confluent", "tau nu alpha q",
+           p1="tau/x + nu/x^2 - 1",
+           p0="-(alpha*x + q)/x^2",
+           relabel={1: ["beta0 = beta0 + beta1/2"],
+                    2: ["beta1 = beta1 + beta2",
+                        "beta0 = beta0 + beta1/2"]}),
+    Family("triconfluent", "sigma alpha q",
+           p1="sigma - x^2",
+           p0="alpha*x - q",
+           relabel={1: ["beta0 = beta0 - beta1*sigma/2"],
+                    2: ["beta1 = beta1 - beta2*sigma",
+                        "beta0 = beta0 - beta1*sigma/2 + beta2*q"]}),
+    Family("reduced_triconfluent", "A0 A1 A2",
+           p1="0",
+           p0="A0 + A1*x + A2*x^2 - 9*x^4/4",
+           relabel={2: ["beta0 = beta0 - beta2*A0"]}),
+))
 
-    family = "biconfluent"
-
-    def __post_init__(self):
-        for name in ("tau", "nu", "alpha", "q"):
-            object.__setattr__(self, name, _fe(getattr(self, name)))
-
-    def build(self) -> DiffOp:
-        x = P_X
-        p1 = (_over(Polynomial.constant(self.tau), x)
-              + _over(Polynomial.constant(self.nu), x * x)
-              - RationalFunction.constant(ONE))
-        p0 = -_over(Polynomial([self.q, self.alpha]), x)
-        return DiffOp([p0, p1, ONE])
-
-
-@dataclass(frozen=True)
-class DoubleConfluentParams:
-    tau: FieldElement
-    nu: FieldElement
-    alpha: FieldElement
-    q: FieldElement
-
-    family = "double_confluent"
-
-    def __post_init__(self):
-        for name in ("tau", "nu", "alpha", "q"):
-            object.__setattr__(self, name, _fe(getattr(self, name)))
-
-    def build(self) -> DiffOp:
-        x = P_X
-        p1 = (_over(Polynomial.constant(self.tau), x)
-              + _over(Polynomial.constant(self.nu), x * x)
-              - RationalFunction.constant(ONE))
-        p0 = -_over(Polynomial([self.q, self.alpha]), x * x)
-        return DiffOp([p0, p1, ONE])
-
-
-@dataclass(frozen=True)
-class TriconfluentParams:
-    sigma: FieldElement
-    alpha: FieldElement
-    q: FieldElement
-
-    family = "triconfluent"
-
-    def __post_init__(self):
-        for name in ("sigma", "alpha", "q"):
-            object.__setattr__(self, name, _fe(getattr(self, name)))
-
-    def build(self) -> DiffOp:
-        p1 = RationalFunction.from_polynomial(
-            Polynomial([self.sigma, ZERO, -ONE]))
-        p0 = RationalFunction.from_polynomial(Polynomial([-self.q, self.alpha]))
-        return DiffOp([p0, p1, ONE])
-
-
-@dataclass(frozen=True)
-class ReducedTriconfluentParams:
-    A0: FieldElement
-    A1: FieldElement
-    A2: FieldElement
-
-    family = "reduced_triconfluent"
-
-    def __post_init__(self):
-        for name in ("A0", "A1", "A2"):
-            object.__setattr__(self, name, _fe(getattr(self, name)))
-
-    def build(self) -> DiffOp:
-        p0 = RationalFunction.from_polynomial(
-            Polynomial([self.A0, self.A1, self.A2, ZERO, fe(-9, 4)]))
-        return DiffOp([p0, RF_ZERO, ONE])
-
-
-FAMILIES = {
-    "heun": HeunParams,
-    "confluent": ConfluentParams,
-    "reduced_confluent": ReducedConfluentParams,
-    "biconfluent": BiconfluentParams,
-    "double_confluent": DoubleConfluentParams,
-    "triconfluent": TriconfluentParams,
-    "reduced_triconfluent": ReducedTriconfluentParams,
-}
-
-PARAM_NAMES = {
-    "heun": ("a", "q", "alpha", "beta", "gamma", "delta"),
-    "confluent": ("p", "q", "alpha", "gamma", "delta"),
-    "reduced_confluent": ("kappa", "gamma", "delta", "q"),
-    "biconfluent": ("tau", "nu", "alpha", "q"),
-    "double_confluent": ("tau", "nu", "alpha", "q"),
-    "triconfluent": ("sigma", "alpha", "q"),
-    "reduced_triconfluent": ("A0", "A1", "A2"),
-}
-
-
-def make_params(family: str, values: dict):
-    try:
-        cls = FAMILIES[family]
-    except KeyError:
-        raise ParameterError(f"unknown family {family!r}; "
-                             f"known: {', '.join(sorted(FAMILIES))}") from None
-    names = PARAM_NAMES[family]
-    missing = [n for n in names if n not in values]
-    extra = [n for n in values if n not in names]
-    if missing or extra:
-        raise ParameterError(
-            f"{family} expects parameters {names}; "
-            f"missing {missing or 'none'}, unexpected {extra or 'none'}")
-    return cls(**{n: values[n] for n in names})
-
-
-def build_P(params) -> DiffOp:
-    return params.build()
+PARAM_NAMES = {name: row.params for name, row in FAMILIES.items()}
 
 
 def classify_singularities(op: DiffOp):

@@ -143,7 +143,7 @@ class FieldElement:
 
     @classmethod
     def from_rational(cls, num, den=1):
-        return cls._mk(Q(num, den), _Q0, _Q0, _Q0, None)
+        return _rational(Q(num, den))
 
     # -- predicates ----------------------------------------------------------
     @property

@@ -17,22 +17,11 @@ import math
 
 from .field import FieldElement, ONE, ZERO
 from .poly import LaurentPolynomial, Polynomial
-from .ratfunc import RF_ZERO, PoleError, RationalFunction
+from .ratfunc import PoleError, RationalFunction
 
 
 class BranchPointError(ValueError):
     """Numeric evaluation at x = 0 with fractional power or pole exponent."""
-
-
-def _laurent_to_rf(g: LaurentPolynomial) -> RationalFunction:
-    out = RF_ZERO
-    for k, v in g.terms.items():
-        if k >= 0:
-            out = out + RationalFunction.from_polynomial(Polynomial.monomial(k, v))
-        else:
-            out = out + RationalFunction(Polynomial.constant(v),
-                                         Polynomial.monomial(-k))
-    return out
 
 
 def _poly_jet(p: Polynomial, x: complex) -> list:
@@ -85,7 +74,8 @@ class ExpMonomial:
 
     def derivative(self) -> "ExpMonomial":
         r = self.rat
-        new_rat = r.derivative() + r * _laurent_to_rf(self.g.derivative())
+        gprime = RationalFunction.from_laurent(self.g.derivative())
+        new_rat = r.derivative() + r * gprime
         if not self.rho.is_zero:
             new_rat = new_rat + r * self.rho * RationalFunction(
                 Polynomial.constant(ONE), Polynomial.monomial(1))

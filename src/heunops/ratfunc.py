@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .field import FieldElement, ZERO, Q, fe
-from .poly import Polynomial, P_ONE, P_ZERO, P_X, poly_x_minus
+from .poly import (LaurentPolynomial, Polynomial, P_ONE, P_ZERO, P_X,
+                   poly_x_minus)
 
 
 class PoleError(ZeroDivisionError):
@@ -71,6 +72,15 @@ class RationalFunction:
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
         return cls._raw(p, P_ONE)
+
+    @classmethod
+    def from_laurent(cls, g: LaurentPolynomial) -> "RationalFunction":
+        """sum c_k x^k as one fraction over x^m, m the deepest negative power."""
+        m = max(0, -g.min_exponent())
+        coeffs = [ZERO] * (g.max_exponent() + m + 1)
+        for k, v in g.terms.items():
+            coeffs[k + m] = v
+        return cls(Polynomial(coeffs), Polynomial.monomial(m))
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":

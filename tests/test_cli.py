@@ -2,7 +2,7 @@
 
 import json
 
-from heunops.cli import main
+from heunops.cli import EXIT_CRASH, EXIT_FALSIFIED, main
 from heunops import serialize as ser
 from heunops.field import fe
 from heunops.poly import Polynomial, poly_x_minus
@@ -167,7 +167,42 @@ def test_verify_all_text_marks_crashes(capsys, monkeypatch):
     monkeypatch.setattr(cat, "verify_all", patched)
     monkeypatch.setattr(cat, "build_case", broken_build)
     code, out, _ = run_cli(capsys, "verify-all", "--format", "text")
-    assert code == 1
+    assert code == EXIT_CRASH
     first = out.splitlines()[0]
     assert first.startswith("CRASH  heun.n1.case3 draw 0 ")
     assert "ZeroDivisionError: planted at heunops/catalog.py:" in first
+
+
+def test_verify_all_exit_codes_separate_crash_from_falsified(capsys,
+                                                             monkeypatch):
+    from heunops import catalog as cat
+
+    subset = [cat.get_case("heun.n1.case3"), cat.get_case("heun.n1.case4")]
+    original = cat.verify_all
+    original_verify_case = cat.verify_case
+
+    def patched(seed=0, truncations=(10, 20, 40), **kwargs):
+        return original(seed=seed, truncations=truncations, cases=subset,
+                        with_series=False, draws=1)
+
+    def falsified(record, **kwargs):
+        verdict = original_verify_case(record, **kwargs)
+        verdict.commutator_zero = False
+        return verdict
+
+    monkeypatch.setattr(cat, "verify_all", patched)
+    monkeypatch.setattr(cat, "verify_case", falsified)
+    code, out, _ = run_cli(capsys, "verify-all", "--format", "text")
+    assert code == EXIT_FALSIFIED
+    assert "CRASH" not in out and out.startswith("FAIL  heun.n1.case3")
+
+    def crash_on_case4(record, **kwargs):
+        if record.id == "heun.n1.case4":
+            raise ZeroDivisionError("planted")
+        return falsified(record, **kwargs)
+
+    monkeypatch.setattr(cat, "verify_case", crash_on_case4)
+    code, out, _ = run_cli(capsys, "verify-all", "--format", "text")
+    assert code == EXIT_CRASH
+    assert out.startswith("FAIL  heun.n1.case3")
+    assert "CRASH  heun.n1.case4" in out

@@ -169,13 +169,13 @@ def test_gauge_reduction_on_degree2_companion():
     # concrete operator with four regular points and a monic companion
     # P + mu; the exponential substitution with A^2 = -mu produces the
     # published three-pole form with first-order shift 2A
-    from heunops.families import HeunParams
+    from heunops.families import FAMILIES
 
     a, q = fe(2), fe(1)
     alpha, beta, gamma, delta = fe(1), fe(2), fe(1, 2), fe(1, 2)
     mu = fe(-1)
-    p = HeunParams(a=a, q=q, alpha=alpha, beta=beta, gamma=gamma,
-                   delta=delta).build()
+    p = FAMILIES["heun"].build(dict(a=a, q=q, alpha=alpha, beta=beta,
+                                    gamma=gamma, delta=delta))
     q_monic = p + DiffOp([RationalFunction.constant(mu)])
     a_val = (-mu).sqrt()
     assert a_val == fe(1)

@@ -109,11 +109,11 @@ def test_apply_op_annihilates_exponentials():
 
 def test_apply_op_power_solution():
     # d^2 + (3/x - 1) d + (3/4 - 3/(2x)) ... realized via the family
-    from heunops.families import DoubleConfluentParams
+    from heunops.families import FAMILIES
 
     tau = fe(3)
-    p = DoubleConfluentParams(tau=tau, nu=fe(0), alpha=tau / 2,
-                              q=tau / 2 - tau * tau / 4).build()
+    p = FAMILIES["double_confluent"].build(dict(
+        tau=tau, nu=fe(0), alpha=tau / 2, q=tau / 2 - tau * tau / 4))
     f = FunctionSum([ExpMonomial(rf(1), -tau / 2)])
     assert annihilates(p, f)
     g = FunctionSum([ExpMonomial(rf(1), -tau / 2, LaurentPolynomial({1: ONE}))])

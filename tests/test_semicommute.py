@@ -8,7 +8,7 @@ from heunops.field import fe, ZERO
 from heunops.poly import P_ONE, P_X, Polynomial, poly_x_minus
 from heunops.ratfunc import RationalFunction, rf
 from heunops.diffop import DiffOp, commutator, compose
-from heunops.families import BiconfluentParams, HeunParams
+from heunops.families import FAMILIES
 from heunops.semicommute import (GorderObstructionError, NotSemiCommutingError,
                                  OperatorShapeError, SemiCommuteSpec,
                                  build_q1, build_q2, counterexample_report,
@@ -39,8 +39,8 @@ def spec2(b0, b1, b2):
 
 def test_build_q1_published_first_degree_family():
     # 2/x first-order coefficient: gamma=2 with the other pole weights zero
-    p = HeunParams(a=fe(2), q=fe(0), alpha=fe(1), beta=fe(0), gamma=fe(2),
-                   delta=fe(0)).build()
+    p = FAMILIES["heun"].build(dict(a=fe(2), q=fe(0), alpha=fe(1),
+                                    beta=fe(0), gamma=fe(2), delta=fe(0)))
     assert p.coeff(1) == RationalFunction(Polynomial([fe(2)]), P_X)
     q = build_q1(p, spec1(fe(3), fe(1)))
     assert q.coeff(1) == rf(1)
@@ -75,12 +75,11 @@ def test_build_q2_published_numerator_coefficients():
     # numerator with leading beta0 and the stated x^2 coefficient
     a, q_, alpha, beta = fe(2), fe(1, 3), fe(1, 2), fe(1, 3)
     gamma, delta = fe(1, 2), fe(1, 2)
-    params = HeunParams(a=a, q=q_, alpha=alpha, beta=beta, gamma=gamma,
-                        delta=delta)
-    p = params.build()
+    given = dict(a=a, q=q_, alpha=alpha, beta=beta, gamma=gamma, delta=delta)
+    p = FAMILIES["heun"].build(given)
     b0, b1, b2 = fe(1, 2), fe(-1), fe(3, 4)
     q_op = build_q2(p, spec2(b0, b1, b2))
-    eps = params.epsilon
+    eps = FAMILIES["heun"].values(given)["epsilon"]
     den = P_X * poly_x_minus(fe(1)) * poly_x_minus(a)
     q0 = q_op.coeff(0)
     combined = q0 * RationalFunction.from_polynomial(den)
@@ -104,7 +103,7 @@ def test_build_q2_biconfluent_pole_coefficient_relabeling():
     # family's own labels; with construction constants bc1 the same weight
     # reads (tau*bc1 - 2*beta2*q)/2
     tau, nu, alpha, q_ = fe(1, 2), fe(1, 3), fe(2), fe(1, 4)
-    p = BiconfluentParams(tau=tau, nu=nu, alpha=alpha, q=q_).build()
+    p = FAMILIES["biconfluent"].build(dict(tau=tau, nu=nu, alpha=alpha, q=q_))
     bc0, bc1, b2 = fe(1, 5), fe(-2, 3), fe(7, 4)
     q_op = build_q2(p, spec2(bc0, bc1, b2))
     form = q_op.coeff(0)
@@ -135,8 +134,8 @@ def test_build_q2_structural_identity_100_random():
 
 
 def test_residual_zero_for_commuting_instance():
-    p = HeunParams(a=fe(2), q=fe(0), alpha=fe(0), beta=fe(1), gamma=fe(0),
-                   delta=fe(0)).build()
+    p = FAMILIES["heun"].build(dict(a=fe(2), q=fe(0), alpha=fe(0),
+                                    beta=fe(1), gamma=fe(0), delta=fe(0)))
     rep = residual(p, build_q1(p, spec1(fe(1), fe(1))))
     assert rep.commutes and rep.residual.is_zero and not rep.local_points
 
@@ -144,8 +143,8 @@ def test_residual_zero_for_commuting_instance():
 def test_residual_against_first_order_condition_oracle():
     # independent oracle: the zeroth coefficient of [P,Q] must equal
     # q0'' + p1 q0' - beta1 p0', computed by plain differentiation
-    p = HeunParams(a=fe(2), q=fe(0), alpha=fe(0), beta=fe(0), gamma=fe(1),
-                   delta=fe(0)).build()
+    p = FAMILIES["heun"].build(dict(a=fe(2), q=fe(0), alpha=fe(0),
+                                    beta=fe(0), gamma=fe(1), delta=fe(0)))
     assert p.coeff(1) == RationalFunction(P_ONE, P_X)
     assert p.coeff(0).is_zero
     b1, b0 = fe(1), fe(0)
@@ -180,8 +179,8 @@ def test_residual_linear_in_constants():
 
 
 def test_commuting_pair_compositions_agree():
-    p = HeunParams(a=fe(3), q=fe(0), alpha=fe(2), beta=fe(1), gamma=fe(0),
-                   delta=fe(2)).build()
+    p = FAMILIES["heun"].build(dict(a=fe(3), q=fe(0), alpha=fe(2),
+                                    beta=fe(1), gamma=fe(0), delta=fe(2)))
     q = build_q1(p, spec1(fe(1), fe(1)))
     rep = residual(p, q)
     assert rep.commutes
@@ -197,9 +196,8 @@ def test_residual_rejects_wide_commutator():
 
 def test_residual_numeric_local_points():
     # triconfluent-style residual has an irrational cubic root set
-    from heunops.families import TriconfluentParams
-
-    p = TriconfluentParams(sigma=fe(1), alpha=fe(1), q=fe(0)).build()
+    p = FAMILIES["triconfluent"].build(dict(sigma=fe(1), alpha=fe(1),
+                                            q=fe(0)))
     q = build_q1(p, spec1(fe(0), fe(1)))
     rep = residual(p, q)
     assert not rep.commutes

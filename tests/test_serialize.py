@@ -8,7 +8,7 @@ from heunops.poly import Polynomial
 from heunops.ratfunc import RationalFunction
 from heunops import serialize as ser
 from heunops.semicommute import SemiCommuteSpec, build_q1, residual
-from heunops.families import HeunParams
+from heunops.families import FAMILIES
 
 
 def test_rational_strings():
@@ -44,15 +44,16 @@ def test_polynomial_and_ratfunc_roundtrip():
 
 
 def test_diffop_roundtrip():
-    p = HeunParams(a=fe(2), q=fe(1, 3), alpha=fe(1, 2), beta=fe(1, 3),
-                   gamma=fe(1, 2), delta=fe(1, 2)).build()
+    p = FAMILIES["heun"].build(dict(a=fe(2), q=fe(1, 3), alpha=fe(1, 2),
+                                    beta=fe(1, 3), gamma=fe(1, 2),
+                                    delta=fe(1, 2)))
     data = json.loads(json.dumps(ser.encode_diffop(p)))
     assert ser.decode_diffop(data) == p
 
 
 def test_residual_report_encoding():
-    p = HeunParams(a=fe(2), q=fe(0), alpha=fe(0), beta=fe(0), gamma=fe(1),
-                   delta=fe(0)).build()
+    p = FAMILIES["heun"].build(dict(a=fe(2), q=fe(0), alpha=fe(0),
+                                    beta=fe(0), gamma=fe(1), delta=fe(0)))
     rep = residual(p, build_q1(p, SemiCommuteSpec(degree=1, beta0=fe(0),
                                                   beta1=fe(1))))
     data = ser.encode_residual_report(rep)

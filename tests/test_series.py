@@ -4,8 +4,7 @@ import pytest
 
 from heunops.field import fe, Q, ONE, ZERO
 from heunops.diffop import DiffOp, compose
-from heunops.families import (BiconfluentParams, HeunParams,
-                              TriconfluentParams)
+from heunops.families import FAMILIES
 from heunops.series import (FrobeniusSolution, IrregularSingularPointError,
                             ResonanceError, circle_points, frobenius_series,
                             indicial_roots, series_residual,
@@ -14,8 +13,8 @@ from heunops.series import (FrobeniusSolution, IrregularSingularPointError,
 
 def heun_op(gamma=fe(1, 2), delta=fe(1, 2), a=fe(2), q=fe(1, 3),
             alpha=fe(1, 2), beta=fe(1, 3)):
-    return HeunParams(a=a, q=q, alpha=alpha, beta=beta, gamma=gamma,
-                      delta=delta).build()
+    return FAMILIES["heun"].build(dict(a=a, q=q, alpha=alpha, beta=beta,
+                                       gamma=gamma, delta=delta))
 
 
 def test_indicial_roots_at_each_finite_point():
@@ -26,20 +25,23 @@ def test_indicial_roots_at_each_finite_point():
     r1 = set(indicial_roots(p, ONE))
     assert r1 == {ZERO, ONE - delta}
     # at x = a the exponents come from the recomputed pole weight
-    params = HeunParams(a=fe(2), q=fe(1, 3), alpha=fe(1, 2), beta=fe(1, 3),
-                        gamma=gamma, delta=delta)
+    params = FAMILIES["heun"].values(dict(
+        a=fe(2), q=fe(1, 3), alpha=fe(1, 2), beta=fe(1, 3), gamma=gamma,
+        delta=delta))
     ra = set(indicial_roots(p, fe(2)))
-    assert ra == {ZERO, ONE - params.epsilon}
+    assert ra == {ZERO, ONE - params["epsilon"]}
 
 
 def test_indicial_roots_ordinary_point():
     assert set(indicial_roots(DiffOp.derivative_op(2), fe(5))) == {ZERO, ONE}
-    p = TriconfluentParams(sigma=fe(1), alpha=fe(1, 2), q=fe(1, 3)).build()
+    p = FAMILIES["triconfluent"].build(dict(sigma=fe(1), alpha=fe(1, 2),
+                                            q=fe(1, 3)))
     assert set(indicial_roots(p, ZERO)) == {ZERO, ONE}
 
 
 def test_indicial_irregular_point_refused():
-    p = BiconfluentParams(tau=fe(1), nu=fe(1), alpha=fe(1), q=fe(1)).build()
+    p = FAMILIES["biconfluent"].build(dict(tau=fe(1), nu=fe(1), alpha=fe(1),
+                                           q=fe(1)))
     with pytest.raises(IrregularSingularPointError):
         indicial_roots(p, ZERO)
 
@@ -65,7 +67,8 @@ def test_frobenius_second_exponent():
 
 
 def test_taylor_at_ordinary_point():
-    p = TriconfluentParams(sigma=fe(1, 2), alpha=fe(1, 3), q=fe(1, 4)).build()
+    p = FAMILIES["triconfluent"].build(dict(sigma=fe(1, 2), alpha=fe(1, 3),
+                                            q=fe(1, 4)))
     sol = frobenius_series(p, ZERO, ZERO, 12)
     v = truncation_remainder_valuation(p, sol)
     assert v is not None and v >= 11
