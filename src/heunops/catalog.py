@@ -93,10 +93,6 @@ class CaseRecord:
     notes: tuple
     docs: tuple
 
-    @property
-    def is_referral(self) -> bool:
-        return self.referral is not None
-
 
 def _load_raw() -> dict:
     data = resources.files("heunops").joinpath("data/catalog.json")

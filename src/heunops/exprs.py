@@ -11,10 +11,15 @@ Grammar (integers only as literals; everything stays in the field):
 Names resolve from an environment of FieldElements; 'i' is the imaginary
 unit, and in rational-function mode 'x' is the free variable.  Values are
 FieldElements until 'x' enters, after which they are rational functions.
+
+Each text is tokenized and parsed once into a small tuple tree (cached);
+every evaluation is a separate walk of that tree against its environment.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 
 from .field import FieldElement, I, fe
@@ -42,11 +47,23 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, env, allow_x):
+    """Recursive descent over the grammar, building a tuple tree:
+
+        ("num", n)  ("name", tok)  ("neg", t)  ("pow", t, n)  ("sqrt", t)
+        (op, t, u) for op in + - * /
+
+    Every finished node is also appended to self.done, in the order a
+    left-to-right evaluation computes it.
+    """
+
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.env = env
-        self.allow_x = allow_x
+        self.done = []
+
+    def node(self, *node):
+        self.done.append(node)
+        return node
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -59,31 +76,29 @@ class _Parser:
         return tok
 
     def parse(self):
-        value = self.expr()
+        tree = self.expr()
         if self.peek() is not None:
             raise ExprError(f"trailing input {self.tokens[self.pos:]!r}")
-        return value
+        return tree
 
     def expr(self):
-        value = self.term()
+        tree = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            tree = self.node(op, tree, self.term())
+        return tree
 
     def term(self):
-        value = self.unary()
+        tree = self.unary()
         while self.peek() in ("*", "/"):
             op = self.take()
-            rhs = self.unary()
-            value = value * rhs if op == "*" else value / rhs
-        return value
+            tree = self.node(op, tree, self.unary())
+        return tree
 
     def unary(self):
         if self.peek() == "-":
             self.take()
-            return -self.unary()
+            return self.node("neg", self.unary())
         return self.power()
 
     def power(self):
@@ -98,48 +113,89 @@ class _Parser:
             if not tok.isdigit():
                 raise ExprError(f"exponent must be an integer, got {tok!r}")
             n = int(tok)
-            return base ** (-n if neg else n)
+            return self.node("pow", base, -n if neg else n)
         return base
 
     def atom(self):
         tok = self.take()
         if tok.isdigit():
-            return fe(int(tok))
+            return self.node("num", int(tok))
         if tok == "(":
-            value = self.expr()
+            tree = self.expr()
             self.take(")")
-            return value
+            return tree
         if tok == "sqrt":
             self.take("(")
             arg = self.expr()
             self.take(")")
-            if isinstance(arg, RationalFunction):
-                raise ExprError("sqrt of a rational function")
-            return arg.sqrt()
+            return self.node("sqrt", arg)
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-            if tok in ("i", "I"):
-                return I
-            if tok == "x":
-                if not self.allow_x:
-                    raise ExprError("'x' not allowed in a scalar expression")
-                return RF_X
-            if tok in self.env:
-                value = self.env[tok]
-                return value
-            raise ExprError(f"unknown name {tok!r}")
+            return self.node("name", tok)
         raise ExprError(f"unexpected token {tok!r}")
+
+
+@functools.lru_cache(maxsize=4096)
+def _parse(text: str):
+    """The tree of text, parsed once.  Malformed text gives the node
+    ("fail", done, message): evaluating it evaluates the nodes finished
+    before the error, then raises ExprError(message), so a name or value
+    error ahead of a syntax error is still the one reported."""
+    parser = _Parser(())
+    try:
+        parser.tokens = _tokenize(text)
+        return parser.parse()
+    except ExprError as exc:
+        return ("fail", tuple(parser.done), str(exc))
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+
+def _eval(node, env, allow_x):
+    """Values are FieldElements until 'x' enters, then rational functions."""
+    kind = node[0]
+    if kind == "num":
+        return fe(node[1])
+    if kind == "name":
+        tok = node[1]
+        if tok in ("i", "I"):
+            return I
+        if tok == "x":
+            if not allow_x:
+                raise ExprError("'x' not allowed in a scalar expression")
+            return RF_X
+        if tok in env:
+            return env[tok]
+        raise ExprError(f"unknown name {tok!r}")
+    if kind == "neg":
+        return -_eval(node[1], env, allow_x)
+    if kind == "pow":
+        return _eval(node[1], env, allow_x) ** node[2]
+    if kind == "sqrt":
+        arg = _eval(node[1], env, allow_x)
+        if isinstance(arg, RationalFunction):
+            raise ExprError("sqrt of a rational function")
+        return arg.sqrt()
+    if kind == "fail":
+        for done in node[1]:
+            _eval(done, env, allow_x)
+        raise ExprError(node[2])
+    return _BINARY[kind](_eval(node[1], env, allow_x),
+                         _eval(node[2], env, allow_x))
 
 
 def eval_scalar(text: str, env=None) -> FieldElement:
     """Evaluate a scalar expression to a FieldElement."""
-    value = _Parser(_tokenize(text), env or {}, allow_x=False).parse()
+    value = _eval(_parse(text), env or {}, False)
     if isinstance(value, RationalFunction):  # pragma: no cover - guarded
         raise ExprError("expected a scalar")
     return value
 
+
 def eval_ratfunc(text: str, env=None) -> RationalFunction:
     """Evaluate an expression in x to a RationalFunction."""
-    value = _Parser(_tokenize(text), env or {}, allow_x=True).parse()
+    value = _eval(_parse(text), env or {}, True)
     if isinstance(value, FieldElement):
         return RationalFunction.constant(value)
     return value

@@ -91,6 +91,12 @@ def _rational(q) -> "FieldElement":
     return el
 
 
+def _real_quadratic(a: int, b: int, den: int, d) -> "FieldElement":
+    """(a + b*sqrt(d)) / den for integers a, b, den and a radicand d already
+    checked by the caller, built without the make checks."""
+    return FieldElement._mk(Q(a, den), _Q0, Q(b, den), _Q0, d)
+
+
 class FieldElement:
     """Immutable exact scalar; see module docstring for the representation."""
 
@@ -164,11 +170,6 @@ class FieldElement:
 
     def is_integer(self) -> bool:
         return self.is_rational and self.ar.denominator == 1
-
-    def as_rational(self):
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.ar
 
     def as_int(self) -> int:
         if not self.is_integer():

@@ -2,11 +2,16 @@
 
 Every elementary solution in the catalog lives here: r is a rational
 function, rho an exact scalar exponent, and g a Laurent polynomial with no
-constant term.  The algebra is closed under differentiation,
+constant term.  The algebra is closed under differentiation, and a term
+keeps its key (rho, g) under d/dx:
 
-    d/dx [r x^rho e^g] = (r' + r*rho/x + r*g') x^rho e^g,
+    d/dx [r x^rho e^g] = (r' + r*h) x^rho e^g,   h = rho/x + g'.
 
-so applying a differential operator to a FunctionSum is exact, and a basis
+So the k-th derivative of a term is r_k x^rho e^g with r_0 = r and
+r_{k+1} = r_k' + r_k*h.  A FunctionSum caches this chain per term, extending
+it only as far as an operator's order asks, so applying a factor and then
+L = Q∘P to the same basis function differentiates it once.  Applying an
+operator sum c_k d^k is then sum_k c_k*r_k per term, exactly; a basis
 function is certified annihilated when the resulting sum is identically zero.
 """
 
@@ -17,7 +22,7 @@ import math
 
 from .field import FieldElement, ONE, ZERO
 from .poly import LaurentPolynomial, Polynomial
-from .ratfunc import PoleError, RationalFunction
+from .ratfunc import RF_ZERO, PoleError, RationalFunction
 
 
 class BranchPointError(ValueError):
@@ -44,7 +49,9 @@ class ExpMonomial:
     constant cannot be folded exactly and is rejected).
     """
 
-    __slots__ = ("rat", "rho", "g")
+    # _h caches the log-derivative factor h = rho/x + g'; None until the
+    # first derivative asks for it.
+    __slots__ = ("rat", "rho", "g", "_h")
 
     def __init__(self, rat: RationalFunction, rho: FieldElement = ZERO,
                  g: LaurentPolynomial | None = None):
@@ -63,6 +70,13 @@ class ExpMonomial:
         self.rat = rat
         self.rho = rho
         self.g = g
+        self._h = None
+
+    def _with_rat(self, rat: RationalFunction) -> "ExpMonomial":
+        """rat x^rho e^g with this term's key and cached h."""
+        m = object.__new__(ExpMonomial)
+        m.rat, m.rho, m.g, m._h = rat, self.rho, self.g, self._h
+        return m
 
     @property
     def is_zero(self) -> bool:
@@ -72,14 +86,16 @@ class ExpMonomial:
         """Like-term key: terms merge iff they share (rho, g)."""
         return (self.rho, self.g)
 
+    def _step(self, r: RationalFunction) -> RationalFunction:
+        """r' + r*h: the factor of d/dx [r x^rho e^g] for this term's key."""
+        h = self._h
+        if h is None:
+            h = self._h = RationalFunction.from_laurent(
+                self.g.derivative() + LaurentPolynomial({-1: self.rho}))
+        return r.derivative() + r * h
+
     def derivative(self) -> "ExpMonomial":
-        r = self.rat
-        gprime = RationalFunction.from_laurent(self.g.derivative())
-        new_rat = r.derivative() + r * gprime
-        if not self.rho.is_zero:
-            new_rat = new_rat + r * self.rho * RationalFunction(
-                Polynomial.constant(ONE), Polynomial.monomial(1))
-        return ExpMonomial(new_rat, self.rho, self.g)
+        return self._with_rat(self._step(self.rat))
 
     def __mul__(self, other):
         if not isinstance(other, ExpMonomial):
@@ -166,7 +182,9 @@ class ExpMonomial:
 class FunctionSum:
     """Sum of coefficient * ExpMonomial with like terms merged."""
 
-    __slots__ = ("terms",)
+    # _chain caches the derivative chain, [r_0, r_1, ...] per term (see the
+    # module docstring); None until a derivative asks for it.
+    __slots__ = ("terms", "_chain")
 
     def __init__(self, terms=()):
         merged: dict = {}
@@ -190,6 +208,15 @@ class FunctionSum:
             if not merged[k].is_zero:
                 out.append(ExpMonomial(merged[k], k[0], k[1]))
         self.terms = tuple(out)
+        self._chain = None
+
+    @classmethod
+    def _distinct(cls, terms) -> "FunctionSum":
+        """The sum of terms with pairwise distinct keys, zero ones dropped."""
+        s = object.__new__(cls)
+        s.terms = tuple(t for t in terms if not t.is_zero)
+        s._chain = None
+        return s
 
     @classmethod
     def single(cls, rat, rho=ZERO, g=None) -> "FunctionSum":
@@ -215,12 +242,21 @@ class FunctionSum:
     def scale(self, c) -> "FunctionSum":
         return FunctionSum([t.scale(c) for t in self.terms])
 
-    def mul_rat(self, f: RationalFunction) -> "FunctionSum":
-        return FunctionSum([ExpMonomial(t.rat * f, t.rho, t.g)
-                            for t in self.terms])
+    def _derivatives(self, n: int) -> list:
+        """Per term, [r_0, ..., r_n]: the k-th derivative of the term is
+        r_k x^rho e^g.  Cached, and extended only as far as n."""
+        chain = self._chain
+        if chain is None:
+            chain = self._chain = [[t.rat] for t in self.terms]
+        for t, rs in zip(self.terms, chain):
+            while len(rs) <= n:
+                rs.append(t._step(rs[-1]))
+        return chain
 
     def derivative(self) -> "FunctionSum":
-        return FunctionSum([t.derivative() for t in self.terms])
+        return FunctionSum._distinct(
+            t._with_rat(rs[1])
+            for t, rs in zip(self.terms, self._derivatives(1)))
 
     def jet(self, x: complex, n: int) -> list:
         """First n Taylor coefficients at x, summed over the terms."""
@@ -246,15 +282,16 @@ class FunctionSum:
 
 
 def apply_op(op, f: FunctionSum) -> FunctionSum:
-    """The differential operator applied to a function sum, exactly."""
-    acc = FunctionSum()
-    df = f
-    for k, c in enumerate(op.coeffs):
-        if k > 0:
-            df = df.derivative()
-        if not c.is_zero:
-            acc = acc + df.mul_rat(c)
-    return acc
+    """The differential operator applied to a function sum, exactly: per
+    term, sum_k c_k*r_k over the cached derivative chain of f."""
+    out = []
+    for t, rs in zip(f.terms, f._derivatives(len(op.coeffs) - 1)):
+        acc = RF_ZERO
+        for c, r in zip(op.coeffs, rs):
+            if not c.is_zero:
+                acc = acc + r * c
+        out.append(t._with_rat(acc))
+    return FunctionSum._distinct(out)
 
 
 def annihilates(op, f: FunctionSum) -> bool:

@@ -3,15 +3,18 @@
 Polynomial stores ascending coefficients with a nonzero leading coefficient
 (the zero polynomial is the empty tuple).  Everything is schoolbook: catalog
 degrees stay far below the point where asymptotics matter.  Products,
-division and gcds of rational polynomials run over Python ints; Gaussian and
-extension operands take the FieldElement loops.
+division and gcds of rational polynomials run over Python ints.  Products
+over a real quadratic extension Q(sqrt d), d rational, run over Python ints
+too, as pairs of integer lists over one denominator.  Gaussian operands, a
+non-real d and mixed radicands take the FieldElement loops, as do division
+and gcds over any extension.
 """
 
 from __future__ import annotations
 
 import math
 
-from .field import FieldElement, ONE, ZERO
+from .field import FieldElement, ONE, ZERO, _real_quadratic
 
 
 def _coerce_fe(value) -> FieldElement:
@@ -22,9 +25,12 @@ def _coerce_fe(value) -> FieldElement:
 
 
 class Polynomial:
-    # _ints caches the integer form (ints, den), coefficient k being
-    # ints[k] / den, or False when a coefficient is not rational; None until
-    # the first integer kernel asks for it.  The kernels never mutate ints.
+    # _ints caches the integer form: (ints, den) when coefficient k is
+    # ints[k] / den, (ints, den, roots, d) when it is
+    # (ints[k] + roots[k]*sqrt(d)) / den for one real radicand d (stored as
+    # FieldElement stores it), or False for any other polynomial; None until
+    # the first integer kernel asks for it.  The kernels never mutate the
+    # lists.
     __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs=()):
@@ -43,17 +49,19 @@ class Polynomial:
         p._ints = None
         return p
 
+    def _form(self):
+        """The integer form (see _ints), computed on first use."""
+        form = self._ints
+        if form is None:
+            form = self._ints = _integer_form(self.coeffs)
+        return form
+
     def _int_form(self):
         """(ints, den) with ascending integer ints, or False if not rational."""
         form = self._ints
         if form is None:
-            form = False
-            if all(c.is_rational for c in self.coeffs):
-                qs = [c.ar for c in self.coeffs]
-                den = math.lcm(*(q.denominator for q in qs))
-                form = ([q.numerator * (den // q.denominator) for q in qs], den)
-            self._ints = form
-        return form
+            form = self._form()
+        return form if form and len(form) == 2 else False
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
@@ -116,13 +124,13 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial._raw([])
-        fa, fb = self._int_form(), other._int_form()
+        fa, fb = self._form(), other._form()
         if fa and fb:
-            ints, den = _convolve(fa[0], fb[0]), fa[1] * fb[1]
-            p = Polynomial._raw([FieldElement.from_rational(c, den)
-                                 for c in ints])
-            p._ints = (ints, den)
-            return p
+            if len(fa) == len(fb) == 2:
+                return _from_form((_convolve(fa[0], fb[0]), fa[1] * fb[1]))
+            form = _ext_mul(fa, fb)
+            if form:
+                return _from_form(form)
         cs = [ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca.is_zero:
@@ -287,6 +295,66 @@ def _convolve(a: list, b: list) -> list:
     return out
 
 
+def _scaled(qs: list, den: int) -> list:
+    return [q.numerator * (den // q.denominator) for q in qs]
+
+
+def _integer_form(coeffs):
+    """The integer form of a coefficient list (see Polynomial._ints)."""
+    d = None
+    for c in coeffs:
+        if c.ai:
+            return False
+        if c.d is not None:
+            if c.bi or (d is not None and c.d != d):
+                return False
+            d = c.d
+    ars = [c.ar for c in coeffs]
+    if d is None:
+        den = math.lcm(*(q.denominator for q in ars))
+        return _scaled(ars, den), den
+    if d[1]:
+        return False
+    brs = [c.br for c in coeffs]
+    den = math.lcm(*(q.denominator for q in ars + brs))
+    return _scaled(ars, den), den, _scaled(brs, den), d
+
+
+def _ext_mul(fa, fb):
+    """Integer form of the product of two integer forms, at least one of
+    them over Q(sqrt d), or None when their radicands differ.  With d = p/q:
+    (A1 + B1 sqrt d)(A2 + B2 sqrt d)
+        = (q A1A2 + p B1B2 + q (A1B2 + B1A2) sqrt d) / q."""
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
+    a, b, den, d = fa[0], fb[0], fa[1] * fb[1], fa[3]
+    if len(fb) == 2:
+        ints, roots = _convolve(a, b), _convolve(fa[2], b)
+    elif fb[3] != d:
+        return None
+    else:
+        p, q = d[0].numerator, d[0].denominator
+        ints = [q * x + p * y
+                for x, y in zip(_convolve(a, b), _convolve(fa[2], fb[2]))]
+        roots = [q * (x + y)
+                 for x, y in zip(_convolve(a, fb[2]), _convolve(fa[2], b))]
+        den *= q
+    return (ints, den, roots, d) if any(roots) else (ints, den)
+
+
+def _from_form(form) -> Polynomial:
+    """The polynomial an integer form stands for, with the form cached."""
+    ints, den = form[0], form[1]
+    if len(form) == 2:
+        cs = [FieldElement.from_rational(c, den) for c in ints]
+    else:
+        roots, d = form[2], form[3]
+        cs = [_real_quadratic(x, y, den, d) for x, y in zip(ints, roots)]
+    p = Polynomial._raw(cs)
+    p._ints = form
+    return p
+
+
 def _rational_divmod(fa, fb):
     """Exact Q quotient and remainder of two integer forms, deg a >= deg b.
 
@@ -397,9 +465,7 @@ def _rational_gcd(a: list, b: list) -> Polynomial:
     if g is None:
         return P_ONE
     g.reverse()
-    p = Polynomial._raw([FieldElement.from_rational(c, g[-1]) for c in g])
-    p._ints = (g, g[-1])
-    return p
+    return _from_form((g, g[-1]))
 
 
 class LaurentPolynomial:

@@ -1,6 +1,6 @@
 """Reduced rational functions over FieldElement, plus the helpers built on
-them: partial fractions, rational antiderivatives, local series expansions,
-and exact/numeric root extraction.
+them: partial fractions, rational antiderivatives, pole orders, and
+exact/numeric root extraction.
 
 Normal form: gcd(num, den) = 1 and den monic.  Zero is 0/1.  With that, two
 rational functions are equal iff their components are equal, which is what
@@ -425,31 +425,6 @@ def antiderivative(f: RationalFunction) -> RationalFunction:
     if not s_poly.is_zero:
         raise LogObstructionError(RationalFunction(s_poly, ds))
     return result + RationalFunction(p_poly, dm)
-
-
-def laurent_series(f: RationalFunction, x0: FieldElement, nterms: int):
-    """Exact local expansion f = sum c_k (x-x0)^k for k = start..start+nterms-1.
-
-    Returns (start, [c_start, ...]).  start can be negative (pole at x0).
-    """
-    num_s = f.num.shift(x0)
-    den_s = f.den.shift(x0)
-    if f.is_zero:
-        return 0, [ZERO] * nterms
-    nv = next(k for k, c in enumerate(num_s.coeffs) if not c.is_zero)
-    dv = next(k for k, c in enumerate(den_s.coeffs) if not c.is_zero)
-    start = nv - dv
-    ncoeffs = list(num_s.coeffs[nv:])
-    dcoeffs = list(den_s.coeffs[dv:])
-    inv = _series_inverse(dcoeffs + [ZERO] * nterms, nterms)
-    out = []
-    for k in range(nterms):
-        acc = ZERO
-        for j in range(k + 1):
-            if j < len(ncoeffs):
-                acc = acc + ncoeffs[j] * inv[k - j]
-        out.append(acc)
-    return start, out
 
 
 def pole_order(f: RationalFunction, x0: FieldElement) -> int:

@@ -78,10 +78,6 @@ class ResidualReport:
     local_points: tuple  # FieldElement (exact) or complex (numeric) entries
 
     @property
-    def exact_points(self):
-        return tuple(p for p in self.local_points if isinstance(p, FieldElement))
-
-    @property
     def numeric_points(self):
         return tuple(p for p in self.local_points if not isinstance(p, FieldElement))
 

@@ -57,3 +57,37 @@ def test_syntax_errors():
     for bad in ("1 +", "(1", "2^x", "$"):
         with pytest.raises(ExprError):
             eval_scalar(bad)
+
+
+def test_parsed_once_and_evaluated_per_environment():
+    from heunops.exprs import _parse
+
+    text = "a*x^2 - sqrt(b)/3"
+    first = eval_ratfunc(text, {"a": fe(2), "b": fe(9)})
+    hits = _parse.cache_info().hits
+    second = eval_ratfunc(text, {"a": fe(-1), "b": fe(4)})
+    assert _parse.cache_info().hits == hits + 1
+    assert first == eval_ratfunc("2*x^2 - 1")
+    assert second == eval_ratfunc("-x^2 - 2/3")
+
+
+def test_errors_keep_their_left_to_right_order():
+    # a name or value error ahead of a syntax error is the one raised, as
+    # in a single evaluating pass; the cached tree must not reorder them
+    cases = [
+        (eval_scalar, "unknown + )", ExprError, "unknown name 'unknown'"),
+        (eval_scalar, "x + )", ExprError, "'x' not allowed"),
+        (eval_ratfunc, "x + )", ExprError, "unexpected token ')'"),
+        (eval_scalar, "sqrt(x", ExprError, "'x' not allowed"),
+        (eval_ratfunc, "sqrt(x", ExprError, "expected ), got None"),
+        (eval_ratfunc, "sqrt(x) + 1", ExprError, "sqrt of a rational function"),
+        (eval_scalar, "2^x", ExprError, "exponent must be an integer"),
+        (eval_scalar, "1/0 )", ZeroDivisionError, ""),
+        (eval_scalar, "1/2 )", ExprError, "trailing input [')']"),
+        (eval_scalar, "1 $ zz", ExprError, "bad token at ' $ zz'"),
+    ]
+    for fn, text, exc, message in cases:
+        for _ in range(2):  # the second call reads the cached tree
+            with pytest.raises(exc) as info:
+                fn(text)
+            assert message in str(info.value), (text, str(info.value))

@@ -10,9 +10,9 @@ from heunops import catalog as cat
 from heunops.field import fe, ONE, ZERO
 from heunops.poly import LaurentPolynomial, P_ONE, P_X, Polynomial
 from heunops.ratfunc import PoleError, RationalFunction, rf
-from heunops.diffop import DiffOp
+from heunops.diffop import DiffOp, compose
 from heunops.funcalg import (BranchPointError, ExpMonomial, FunctionSum,
-                             annihilates, wronskian_numeric)
+                             annihilates, apply_op, wronskian_numeric)
 
 
 def exp_term(rate, rat=None, rho=ZERO):
@@ -235,3 +235,118 @@ def test_jet_wronskian_raises_at_branch_points():
     for f in (half_power, exp_pole):
         with pytest.raises(BranchPointError):
             wronskian_numeric([FunctionSum([exp_term(ONE)]), f], 0j)
+
+
+def _reference_derivative(f):
+    """Reference: the term-by-term derivative formula
+    (r' + r*g' + r*rho/x) x^rho e^g, with every step re-merged."""
+    out = []
+    for t in f.terms:
+        r = t.rat
+        new = r.derivative() + r * RationalFunction.from_laurent(t.g.derivative())
+        if not t.rho.is_zero:
+            new = new + r * t.rho * RationalFunction(P_ONE, P_X)
+        out.append(ExpMonomial(new, t.rho, t.g))
+    return FunctionSum(out)
+
+
+def _reference_apply(op, f):
+    """Reference: sum_k c_k d^k f, differentiating f once per order and
+    merging each scaled derivative into the sum."""
+    acc, df = FunctionSum(), f
+    for k, c in enumerate(op.coeffs):
+        if k:
+            df = _reference_derivative(df)
+        if not c.is_zero:
+            acc = acc + FunctionSum([ExpMonomial(t.rat * c, t.rho, t.g)
+                                     for t in df.terms])
+    return acc
+
+
+def _ordinary_point(f, ops):
+    """A rational t != 0 where every op is regular (no coefficient pole,
+    leading coefficient nonzero) and every rational factor of f is finite
+    and nonzero."""
+    for k in range(1, 50):
+        t = fe(k, 7)
+        rats = [c for op in ops for c in op.coeffs] + [x.rat for x in f.terms]
+        if (all(not c.den.eval(t).is_zero for c in rats)
+                and all(not op.coeffs[-1].num.eval(t).is_zero for op in ops)
+                and all(not x.rat.num.eval(t).is_zero for x in f.terms)):
+            return t
+    raise AssertionError("no ordinary point found")
+
+
+def _perturbed(f, ops):
+    """Two perturbations of f that no op annihilates: f e^(x^5), whose
+    exponent grows faster than a Heun-class operator lets a solution grow
+    (the rate is x^3 at most), and f/(x - t), which has a pole at a point
+    where every op is regular, so no solution has one there."""
+    t = _ordinary_point(f, ops)
+    pole = RationalFunction(P_ONE, Polynomial([-t, ONE]))
+    return [FunctionSum([ExpMonomial(x.rat, x.rho,
+                                     x.g + LaurentPolynomial({5: ONE}))
+                         for x in f.terms]),
+            FunctionSum([ExpMonomial(x.rat * pole, x.rho, x.g)
+                         for x in f.terms])]
+
+
+def _catalog_operators(seed, draws):
+    for rec in cat.enumerate_cases():
+        if rec.kind == "no_nontrivial":
+            continue
+        for draw in range(draws):
+            env = cat.resolve_env(rec, cat.draw_env(rec, seed, draw))
+            p, q = cat.build_case(rec, env)
+            bases = {label: [cat._basis_function(d, env) for d in descs]
+                     for label, descs in (("P", rec.basis_P),
+                                          ("Q", rec.basis_Q))}
+            yield rec, draw, p, q, compose(q, p), bases
+
+
+def test_apply_op_matches_reference_on_catalog_bases():
+    """apply_op equals the derivative-loop reference, as whole function
+    sums, on every catalog basis at seed 0, draws 0-2; cross pairs (each
+    factor on the other factor's basis) and, at draw 0, perturbed bases come
+    out nonzero."""
+    zero = nonzero = 0
+    for rec, draw, p, q, l_qp, bases in _catalog_operators(0, 3):
+        factors = {"P": p, "Q": q}
+        for label, funcs in bases.items():
+            other = "Q" if label == "P" else "P"
+            for f in funcs:
+                # the factor first, then L, on one f: L extends the chain
+                # the factor started
+                for op in (factors[label], l_qp):
+                    got = apply_op(op, f)
+                    assert got == _reference_apply(op, f), (rec.id, label)
+                    assert got.is_zero, (rec.id, label)
+                    zero += 1
+                got = apply_op(factors[other], f)
+                assert got == _reference_apply(factors[other], f), rec.id
+                assert not got.is_zero, (rec.id, label, "cross")
+                nonzero += 1
+                if draw:
+                    continue
+                for g in _perturbed(f, (factors[label], l_qp)):
+                    for op in (factors[label], l_qp):
+                        got = apply_op(op, g)
+                        assert got == _reference_apply(op, g), rec.id
+                        assert not got.is_zero, (rec.id, label, str(g))
+                        nonzero += 1
+    assert zero >= 600 and nonzero >= 700
+
+
+def test_apply_op_reuses_and_extends_the_cached_chain():
+    f = FunctionSum([ExpMonomial(RationalFunction(P_X, Polynomial([ONE, ONE])),
+                                 fe(1, 3), LaurentPolynomial({-1: fe(2),
+                                                              2: fe(-1, 2)}))])
+    d2 = DiffOp([rf(1), rf(0), rf(1)])
+    d4 = DiffOp([rf(0), rf(3), rf(0), rf(0), RationalFunction.from_polynomial(P_X)])
+    assert apply_op(d2, f) == _reference_apply(d2, f)
+    assert len(f._chain[0]) == 3
+    assert apply_op(d4, f) == _reference_apply(d4, f)
+    assert len(f._chain[0]) == 5
+    assert f.derivative().derivative() == _reference_derivative(
+        _reference_derivative(f))
+    assert apply_op(DiffOp([]), f).is_zero

@@ -2,10 +2,10 @@ import random
 
 import pytest
 import sympy as sp
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from heunops import poly
-from heunops.field import ZERO, FieldElement, fe
+from heunops.field import ZERO, ExtensionMismatchError, FieldElement, fe
 from heunops.poly import LaurentPolynomial, P_ONE, Polynomial, poly_x_minus
 
 
@@ -48,11 +48,15 @@ def euclid_gcd(a, b):
 
 
 def _assert_integer_form(p):
-    """The cached integer form, when present, reads back as p."""
+    """The cached integer form, when present, reads back as p: (ints, den)
+    over Q, or (ints, den, roots, d) over a real Q(sqrt d)."""
     form = p._ints
     if form:
-        ints, den = form
-        assert [fe(c, den) for c in ints] == list(p.coeffs)
+        ints, den, *ext = form
+        roots, d = ext or ([0] * len(ints), None)
+        assert len(ints) == len(roots) == len(p.coeffs)
+        assert [FieldElement.make(fe(x, den).ar, 0, fe(y, den).ar, 0, d)
+                for x, y in zip(ints, roots)] == list(p.coeffs)
 
 
 _X = sp.Symbol("x")
@@ -323,6 +327,95 @@ def test_integer_mul_and_divmod_match_schoolbook(backend, kind, data):
     assert product.divmod(b) == (a, Polynomial())
     assert (product * b).divmod(b * b) == (a, Polynomial())
     assert (product + rem).divmod(b) == schoolbook_divmod(product + rem, b)
+
+
+# -- the integer kernel for products over a real Q(sqrt d) ---------------------
+
+# rational non-squares, stored as FieldElement stores a radicand; the
+# negative ones are not squares in Q(i) either
+_REAL_RADICANDS = [(2, 0), (3, 0), (fe(5, 7).ar, 0), (fe(20, 9).ar, 0),
+                   (fe(1, 2).ar, 0), (-3, 0), (fe(-5, 2).ar, 0)]
+
+
+def _ext(a, b, d):
+    return FieldElement.make(a.ar, 0, b.ar, 0, d)
+
+
+@st.composite
+def real_ext_operands(draw):
+    """Two polynomials over one Q(sqrt d): both in the extension, or one of
+    them rational; some coefficients with b = 0."""
+    d = draw(st.sampled_from(_REAL_RADICANDS))
+
+    def element():
+        b = draw(rationals()) if draw(st.integers(0, 3)) else fe(0)
+        return _ext(draw(rationals()), b, d)
+
+    def poly_of(scalar):
+        return Polynomial([scalar() for _ in range(draw(st.integers(1, 5)))])
+
+    a = poly_of(element)
+    b = poly_of((lambda: draw(rationals())) if draw(st.booleans())
+                else element)
+    return (a, b, d) if draw(st.booleans()) else (b, a, d)
+
+
+def _sympy_expr(p):
+    return sum((_sp_scalar(c) * _X ** k for k, c in enumerate(p.coeffs)),
+               sp.Integer(0))
+
+
+@_ORACLE_SETTINGS
+@given(ops=real_ext_operands())
+def test_real_extension_mul_matches_schoolbook_and_sympy(backend, ops):
+    a, b, d = ops
+    product = a * b
+    assert product == schoolbook_mul(a, b) == b * a
+    assert sp.expand(_sympy_expr(product) - _sympy_expr(a) * _sympy_expr(b)) == 0
+    _assert_integer_form(product)
+    assert product.is_zero or product._ints, "the kernel caches its form"
+    # products fed back through the cached forms
+    c = Polynomial([_ext(fe(1, 3), fe(-2), d), fe(5, 4)])
+    assert (product * c) * product == schoolbook_mul(
+        schoolbook_mul(schoolbook_mul(a, b), c), schoolbook_mul(a, b))
+
+
+@settings(_ORACLE_SETTINGS, max_examples=60)
+@given(ops=real_ext_operands())
+def test_real_extension_mul_cancelling_the_root(backend, ops):
+    a, _, d = ops
+    assume(not a.is_zero)
+    conj = Polynomial([c.conjugate_ext() for c in a.coeffs])
+    norm = a * conj
+    assert norm == schoolbook_mul(a, conj)
+    # (A + B sqrt d)(A - B sqrt d) = A^2 - d B^2 lies in Q[x]: its cached
+    # form is the rational one, which divmod and gcd then use
+    assert all(c.is_rational for c in norm.coeffs)
+    assert len(norm._ints) == 2
+    _assert_integer_form(norm)
+    assert norm.divmod(Polynomial([fe(1), fe(1)])) == schoolbook_divmod(
+        norm, Polynomial([fe(1), fe(1)]))
+
+
+def test_real_extension_mul_falls_back_outside_the_kernel(backend):
+    d, e = (2, 0), (3, 0)
+    real = Polynomial([_ext(fe(1), fe(2), d), _ext(fe(-1, 2), fe(3), d)])
+    gaussian_part = Polynomial([FieldElement.make(1, 1, 2, 0, d), fe(3)])
+    nonreal = Polynomial([FieldElement.make(1, 0, 2, 0, _D_NONREAL), fe(1)])
+    mixed = Polynomial([_ext(fe(1), fe(1), d), _ext(fe(1), fe(1), e)])
+    for p in (gaussian_part, nonreal, mixed):
+        assert p._form() is False
+    for x, y in ((gaussian_part, real), (gaussian_part, gaussian_part),
+                 (nonreal, nonreal), (nonreal, Polynomial([fe(2), fe(1, 3)])),
+                 (mixed, Polynomial([fe(2, 3)]))):
+        product = x * y
+        assert product == schoolbook_mul(x, y) == y * x
+        assert product._ints is None
+    other = Polynomial([_ext(fe(1), fe(1), e), fe(2)])
+    assert real._form() and other._form()
+    for x, y in ((real, other), (real, mixed)):
+        with pytest.raises(ExtensionMismatchError):
+            x * y
 
 
 def test_integer_divmod_non_monic_divisors(backend):
