@@ -40,7 +40,7 @@ from .funcalg import ExpMonomial, FunctionSum, apply_op, wronskian_numeric
 from .poly import Polynomial
 from .ratfunc import RationalFunction, partial_fractions
 from .semicommute import SemiCommuteSpec, build_q1, build_q2, residual
-from .series import frobenius_series, series_residual
+from .series import frobenius_series, series_residuals
 
 CATALOG_VERSION = "1"
 
@@ -525,15 +525,17 @@ def _series_check(record: CaseRecord, env: dict, truncations=(10, 20, 40),
     rho = eval_scalar(info.get("exponent", "0"), full)
     if radius is None:
         radius = _series_radius(p, x0)
-    checks = []
-    for label, factor in (("Q", q), ("P", p)):
+    sols = []
+    for factor in (q, p):
         factor_monic = factor.scale(factor.leading.inverse()) \
             if not factor.is_monic() else factor
-        residuals = []
-        for n in truncations:
-            sol = frobenius_series(factor_monic, x0, rho, n)
-            res = series_residual(l_op, sol, radius, points)
-            residuals.append(res.max_residual)
+        sol = frobenius_series(factor_monic, x0, rho, max(truncations))
+        sols += [sol.truncated(n) for n in truncations]
+    results = series_residuals(l_op, sols, radius, points)
+    checks = []
+    n = len(truncations)
+    for label, start in (("Q", 0), ("P", n)):
+        residuals = [res.max_residual for res in results[start:start + n]]
         decreasing = all(residuals[i] > residuals[i + 1]
                          for i in range(len(residuals) - 1))
         # a terminating series is an exact solution: every truncation gives

@@ -91,6 +91,12 @@ def _rational(q) -> "FieldElement":
     return el
 
 
+def _gaussian(x: int, y: int, den: int) -> "FieldElement":
+    """(x + y*i) / den for integers x, y, den, built without the make
+    checks."""
+    return FieldElement._mk(Q(x, den), Q(y, den), _Q0, _Q0, None)
+
+
 def _real_quadratic(a: int, b: int, den: int, d) -> "FieldElement":
     """(a + b*sqrt(d)) / den for integers a, b, den and a radicand d already
     checked by the caller, built without the make checks."""

@@ -216,7 +216,16 @@ class Polynomial:
         return a.monic()
 
     def derivative(self) -> "Polynomial":
-        return Polynomial._raw([k * c for k, c in enumerate(self.coeffs)][1:])
+        form = self._form()
+        if not form:
+            return Polynomial._raw(
+                [k * c for k, c in enumerate(self.coeffs)][1:])
+        ints = [k * x for k, x in enumerate(form[0])][1:]
+        if len(form) == 2:
+            return _from_form((ints, form[1]))
+        roots = [k * x for k, x in enumerate(form[2])][1:]
+        return _from_form((ints, form[1], roots, form[3]) if any(roots)
+                          else (ints, form[1]))
 
     def shift(self, c: FieldElement) -> "Polynomial":
         """Taylor shift: the polynomial p(x + c) (Horner in x + c)."""

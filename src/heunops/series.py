@@ -14,19 +14,32 @@ w_v(L); the point is regular (two exponents) exactly when that polynomial is
 quadratic in L.  Coefficients are solved exactly in the active field; a zero
 pivot with a nonzero right-hand side is a genuine resonance and is refused.
 
+Row s of the recurrence reads only rows below s, so the solution at a
+smaller truncation is a prefix of a longer one: one recurrence per exponent
+serves every truncation (FrobeniusSolution.truncated).
+
 series_residual evaluates L applied to the truncated series at exact
 rational points of a circle (Pythagorean parametrization, so the points have
 radius exactly r) and measures magnitudes with mpmath, so residuals far below
 double precision remain meaningful and the N -> residual decay is monotone.
+The j-th derivative needs the weights c_k * (rho+k)(rho+k-1)... (j
+factors); each solution builds these rows once, row j from row j-1, and
+caches them.  When rho and the c_k are rational, a row is a list of Python
+ints over one denominator, and at a Gaussian rational point it is evaluated
+by Horner's rule over Gaussian integers; any other row or point (Gaussian or
+Q(sqrt d) data) takes a FieldElement Horner loop.  Every value is exact
+either way.  series_residuals checks several solutions at one expansion
+point and shares the radius guard and the operator's values at each point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import lcm
 
 import mpmath
 
-from .field import FieldElement, ONE, ZERO, Q
+from .field import FieldElement, ONE, ZERO, Q, _gaussian
 from .diffop import DiffOp
 from .poly import Polynomial
 
@@ -45,25 +58,75 @@ class FrobeniusSolution:
     rho: FieldElement
     coeffs: tuple  # c_0 .. c_N, c_0 = 1
     truncation: int
+    # weight rows, built on first use by _weight_rows
+    _rows: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
+
+    def truncated(self, n: int) -> "FrobeniusSolution":
+        """The solution cut at order n.  Row s of the recurrence reads only
+        rows below s, so this equals frobenius_series at truncation n."""
+        return FrobeniusSolution(self.x0, self.rho, self.coeffs[:n + 1], n)
+
+    def _weight_rows(self, max_order: int) -> list:
+        """Rows j = 0..max_order of the weights c_k * (rho+k)(rho+k-1)...
+        (j factors), row j built from row j-1 with one product per entry.
+
+        A row is (ints, den) over Python ints when rho and every c_k are
+        rational, else a list of FieldElements.
+        """
+        rows = self._rows
+        if not rows:
+            form = (Polynomial(self.coeffs)._int_form()
+                    if self.rho.is_rational else False)
+            rows.append(form or list(self.coeffs))
+        while len(rows) <= max_order:
+            shift = self.rho - (len(rows) - 1)  # factor rho + k - (j-1)
+            prev = rows[-1]
+            if isinstance(prev, tuple):
+                a, b = shift.ar.numerator, shift.ar.denominator
+                rows.append(([x * (a + k * b) for k, x in enumerate(prev[0])],
+                             prev[1] * b))
+            else:
+                rows.append([c * (shift + k) for k, c in enumerate(prev)])
+        return rows
 
     def derivative_values(self, t: FieldElement, max_order: int):
         """Exact values of S^(j)(x0 + t) / t^(rho - j) for j = 0..max_order.
 
         Dividing out the common power keeps everything in the field; the
-        caller reattaches |t^(rho-j)| numerically.
+        caller reattaches |t^(rho-j)| numerically.  Row j is evaluated at t
+        by Horner's rule; for rational rows and a Gaussian rational t the
+        rule runs over Gaussian integers on one common denominator.
         """
+        if t.d is None:  # t = (p + qi) / m
+            m = lcm(t.ar.denominator, t.ai.denominator)
+            p = t.ar.numerator * (m // t.ar.denominator)
+            q = t.ai.numerator * (m // t.ai.denominator)
         out = []
-        for j in range(max_order + 1):
+        for row in self._weight_rows(max_order)[:max_order + 1]:
+            if isinstance(row, tuple):
+                if t.d is None:
+                    out.append(_gaussian_horner(*row, p, q, m))
+                    continue
+                row = [FieldElement.from_rational(x, row[1]) for x in row[0]]
             acc = ZERO
-            tpow = ONE
-            for k, c in enumerate(self.coeffs):
-                factor = ONE
-                for i in range(j):
-                    factor = factor * (self.rho + k - i)
-                acc = acc + c * factor * tpow
-                tpow = tpow * t
+            for c in reversed(row):
+                acc = acc * t + c
             out.append(acc)
         return out
+
+
+def _gaussian_horner(ints, den, p, q, m) -> FieldElement:
+    """sum_k (ints[k] / den) * ((p + qi) / m)^k, by Horner's rule over
+    Gaussian integers: the coefficient of degree k is scaled by m^(n-1-k)
+    so that no division happens before the end."""
+    x = y = 0
+    scale = 1
+    for a in reversed(ints):
+        x, y = x * p - y * q + a * scale, x * q + y * p
+        scale *= m
+    # x + yi = m^(n-1) * den * value, and scale = m^n
+    return _gaussian(x * m, y * m, den * scale)
 
 
 def _cleared_local_data(op: DiffOp, x0: FieldElement):
@@ -158,45 +221,6 @@ def frobenius_series(op: DiffOp, x0, rho, n: int) -> FrobeniusSolution:
     return FrobeniusSolution(x0, rho, tuple(coeffs), n)
 
 
-def truncation_remainder_valuation(op: DiffOp, sol: FrobeniusSolution) -> int:
-    """Lowest k with (op applied to the truncated series) having a t^(rho+k)
-    term, or None when the image is identically zero.
-
-    The recurrence guarantees k >= N - 1 for the operator the series solves.
-    """
-    polys = _cleared_local_data(op, sol.x0)
-    v_den = next(k for k, c in enumerate(
-        _den_of(op, sol.x0).coeffs) if not c.is_zero)
-    total: dict[int, FieldElement] = {}
-    for k, c in enumerate(sol.coeffs):
-        if c.is_zero:
-            continue
-        lam = sol.rho + k
-        for j, p in enumerate(polys):
-            factor = {0: lam * (lam - 1), 1: lam, 2: ONE}[j]
-            offset = {0: -2, 1: -1, 2: 0}[j]
-            if factor.is_zero:
-                continue
-            for m, a in enumerate(p.coeffs):
-                if a.is_zero:
-                    continue
-                key = k + offset + m
-                total[key] = total.get(key, ZERO) + c * factor * a
-    nonzero = sorted(k for k, val in total.items() if not val.is_zero)
-    if not nonzero:
-        return None
-    return nonzero[0] - v_den
-
-
-def _den_of(op: DiffOp, x0: FieldElement) -> Polynomial:
-    a2, a1, a0 = op.coeff(2), op.coeff(1), op.coeff(0)
-    den = a2.den
-    for c in (a1, a0):
-        g = den.gcd(c.den)
-        den = (den * c.den) // g
-    return den.shift(x0)
-
-
 def circle_points(radius, count: int):
     """Exact Gaussian-rational points with |x| = radius (rational radius).
 
@@ -259,31 +283,48 @@ def series_residual(op: DiffOp, sol: FrobeniusSolution, radius,
     double precision is not lost.  The radius must stay strictly inside the
     distance to the nearest other singularity of the operator.
     """
-    limit = _nearest_pole_distance(op, sol.x0)
+    return series_residuals(op, [sol], radius, points, dps)[0]
+
+
+def series_residuals(op: DiffOp, sols, radius, points: int = 8,
+                     dps: int = 60) -> list:
+    """series_residual for several solutions at one expansion point.
+
+    The radius guard, the circle points and the operator's coefficients at
+    each point are computed once and shared by every solution.
+    """
+    x0 = sols[0].x0
+    if any(sol.x0 != x0 for sol in sols):
+        raise ValueError("solutions expand about different points")
+    limit = _nearest_pole_distance(op, x0)
     if limit is not None and float(radius) >= limit - 1e-12:
         raise ValueError(
             f"radius {radius} reaches the nearest singularity "
             f"(distance {limit:.6g})")
     order = op.order
-    worst = mpmath.mpf(0)
+    worst = [mpmath.mpf(0)] * len(sols)
     with mpmath.workdps(dps):
         for t in circle_points(radius, points):
-            x = sol.x0 + t
-            derivs = sol.derivative_values(t, order)
-            tm = t.to_mpc(mpmath.mp)
+            x = x0 + t
+            cvals = [None if op.coeff(j).is_zero
+                     else op.coeff(j).eval(x).to_mpc(mpmath.mp)
+                     for j in range(order + 1)]
             # reattach the principal power t^(rho-j) split off by
-            # derivative_values
-            logt = mpmath.log(tm)
-            acc = mpmath.mpc(0)
-            for j in range(order + 1):
-                c = op.coeff(j)
-                if c.is_zero:
-                    continue
-                cval = c.eval(x).to_mpc(mpmath.mp)
-                rho_j = (sol.rho - j).to_mpc(mpmath.mp)
-                scale = mpmath.exp(rho_j * logt)
-                acc += cval * derivs[j].to_mpc(mpmath.mp) * scale
-            total = abs(acc)
-            if total > worst:
-                worst = total
-    return SeriesResidualResult(float(worst), sol.truncation, radius, points)
+            # derivative_values, once per exponent rho
+            logt = mpmath.log(t.to_mpc(mpmath.mp))
+            scales = {}
+            for i, sol in enumerate(sols):
+                if sol.rho not in scales:
+                    scales[sol.rho] = [
+                        mpmath.exp((sol.rho - j).to_mpc(mpmath.mp) * logt)
+                        for j in range(order + 1)]
+                derivs = sol.derivative_values(t, order)
+                acc = mpmath.mpc(0)
+                for cval, value, scale in zip(cvals, derivs, scales[sol.rho]):
+                    if cval is not None:
+                        acc += cval * value.to_mpc(mpmath.mp) * scale
+                total = abs(acc)
+                if total > worst[i]:
+                    worst[i] = total
+    return [SeriesResidualResult(float(w), sol.truncation, radius, points)
+            for w, sol in zip(worst, sols)]

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON round trips."""
 
 import json
+from pathlib import Path
 
 from heunops.cli import EXIT_CRASH, EXIT_FALSIFIED, main
 from heunops import serialize as ser
@@ -149,6 +150,34 @@ def test_verify_all_emits_json_lines(capsys, monkeypatch):
     diff_rows = [l for l in lines if "diff" in l]
     assert any(l["diff"].get("doc") == "heun-n2-case4-order"
                for l in diff_rows)
+
+
+def _fingerprint(output):
+    """output with every inexact value removed: floats, and dicts tagged
+    ``"approx": true`` (perfbench's fingerprint rule)."""
+    if isinstance(output, dict):
+        if output.get("approx") is True:
+            return None
+        return {k: _fingerprint(v) for k, v in output.items()
+                if not isinstance(v, float)}
+    if isinstance(output, list):
+        return [_fingerprint(v) for v in output if not isinstance(v, float)]
+    return output
+
+
+def test_verify_all_seed0_matches_golden(capsys):
+    """The exact part of `heunops verify-all --seed 0`, line by line, against
+    tests/data/verify_all_seed0.jsonl.  Regenerate that file only when a
+    change of verdict or printed diff is intended: run the command and write
+    each line through _fingerprint."""
+    golden = Path(__file__).parent / "data" / "verify_all_seed0.jsonl"
+    code, out, _ = run_cli(capsys, "verify-all", "--seed", "0")
+    assert code == 0
+    fresh = [_fingerprint(json.loads(line)) for line in out.splitlines()]
+    expected = [json.loads(line) for line in golden.read_text().splitlines()]
+    assert len(fresh) == len(expected)
+    for got, want in zip(fresh, expected):
+        assert got == want
 
 
 def test_verify_all_text_marks_crashes(capsys, monkeypatch):

@@ -445,6 +445,29 @@ def test_derivative_product_rule():
         assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
 
 
+@settings(_ORACLE_SETTINGS, max_examples=80)
+@given(data=st.data())
+def test_derivative_matches_the_coefficient_loop(backend, data):
+    real_ext = st.one_of(rationals(), sqrt2_elements())
+    scalars = data.draw(st.sampled_from([rationals(), real_ext, gaussians()]))
+    p = Polynomial(data.draw(st.lists(scalars, max_size=6)))
+    derivative = p.derivative()
+    assert derivative == Polynomial([k * c for k, c in enumerate(p.coeffs)][1:])
+    # the integer path runs exactly when p has an integer form, and caches
+    # the result's form
+    assert (derivative._ints is None) == (p._form() is False)
+    _assert_integer_form(derivative)
+
+
+def test_derivative_drops_a_vanishing_root_part():
+    p = Polynomial([_ext(fe(1), fe(3), _SQRT2), fe(2), fe(1, 3)])
+    assert len(p._form()) == 4
+    derivative = p.derivative()
+    assert derivative == Polynomial([fe(2), fe(2, 3)])
+    assert len(derivative._ints) == 2
+    assert derivative * derivative == Polynomial([fe(4), fe(8, 3), fe(4, 9)])
+
+
 def test_laurent_derivative_and_eval():
     g = LaurentPolynomial({3: fe(1, 3), 1: fe(-2), -1: fe(5)})
     dg = g.derivative()

@@ -1,20 +1,61 @@
 """Local series solutions and residual certification."""
 
+import mpmath
 import pytest
+import sympy as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from heunops.field import fe, Q, ONE, ZERO
+from heunops import catalog as cat
+from heunops.field import FieldElement, fe, Q, ONE, ZERO
 from heunops.diffop import DiffOp, compose
+from heunops.exprs import eval_scalar
 from heunops.families import FAMILIES
 from heunops.series import (FrobeniusSolution, IrregularSingularPointError,
                             ResonanceError, circle_points, frobenius_series,
-                            indicial_roots, series_residual,
-                            truncation_remainder_valuation)
+                            indicial_roots, series_residual, series_residuals)
 
 
 def heun_op(gamma=fe(1, 2), delta=fe(1, 2), a=fe(2), q=fe(1, 3),
             alpha=fe(1, 2), beta=fe(1, 3)):
     return FAMILIES["heun"].build(dict(a=a, q=q, alpha=alpha, beta=beta,
                                        gamma=gamma, delta=delta))
+
+
+# -- oracle: op applied to the truncated series, in sympy ----------------------
+
+_T = sp.Symbol("t", positive=True)
+
+
+def _sp_rational(c):
+    assert c.is_rational
+    return sp.Rational(int(c.ar.numerator), int(c.ar.denominator))
+
+
+def _sp_poly(p, x):
+    return sum((_sp_rational(c) * x**k for k, c in enumerate(p.coeffs)),
+               sp.Integer(0))
+
+
+def _lowest_degree(expr):
+    return min(m[0] for m in sp.Poly(expr, _T).monoms())
+
+
+def _image_valuation(op, sol):
+    """Order in t of op(S_N) / t^rho at x = x0 + t, where S_N is the
+    truncated series t^rho * sum c_k t^k; None when op(S_N) vanishes
+    identically.  The recurrence makes it at least N - 1."""
+    x = _T + _sp_rational(sol.x0)
+    rho = _sp_rational(sol.rho)
+    series = _T**rho * sum((_sp_rational(c) * _T**k
+                            for k, c in enumerate(sol.coeffs)), sp.Integer(0))
+    image = sum((_sp_poly(op.coeff(j).num, x) / _sp_poly(op.coeff(j).den, x)
+                 * sp.diff(series, _T, j) for j in range(op.order + 1)),
+                sp.Integer(0))
+    reduced = sp.cancel(sp.expand(image / _T**rho))
+    if reduced == 0:
+        return None
+    num, den = sp.fraction(reduced)
+    return _lowest_degree(num) - _lowest_degree(den)
 
 
 def test_indicial_roots_at_each_finite_point():
@@ -50,27 +91,28 @@ def test_frobenius_constant_solution():
     sol = frobenius_series(DiffOp.derivative_op(2), ZERO, ZERO, 8)
     assert sol.coeffs[0] == ONE
     assert all(c.is_zero for c in sol.coeffs[1:])
-    assert truncation_remainder_valuation(DiffOp.derivative_op(2), sol) is None
+    assert _image_valuation(DiffOp.derivative_op(2), sol) is None
 
 
 def test_frobenius_remainder_support():
     p = heun_op()
     sol = frobenius_series(p, ZERO, ZERO, 8)
-    v = truncation_remainder_valuation(p, sol)
+    v = _image_valuation(p, sol)
     assert v is not None and v >= 7
 
 
 def test_frobenius_second_exponent():
     p = heun_op(gamma=fe(1, 2))
     sol = frobenius_series(p, ZERO, fe(1, 2), 10)
-    assert truncation_remainder_valuation(p, sol) >= 9
+    v = _image_valuation(p, sol)
+    assert v is not None and v >= 9
 
 
 def test_taylor_at_ordinary_point():
     p = FAMILIES["triconfluent"].build(dict(sigma=fe(1, 2), alpha=fe(1, 3),
                                             q=fe(1, 4)))
     sol = frobenius_series(p, ZERO, ZERO, 12)
-    v = truncation_remainder_valuation(p, sol)
+    v = _image_valuation(p, sol)
     assert v is not None and v >= 11
 
 
@@ -120,3 +162,156 @@ def test_nonsolution_series_has_large_residual():
                              20)
     res = series_residual(p, fake, Q(1, 10), 4)
     assert res.max_residual > 1e-6
+
+
+# -- derivative_values against the former triple loop ---------------------------
+
+def _reference_derivative_values(sol, t, max_order):
+    """The falling factorial (rho+k)(rho+k-1)... rebuilt for every k, order
+    and point, with powers of t summed forward over FieldElements."""
+    out = []
+    for j in range(max_order + 1):
+        acc = ZERO
+        tpow = ONE
+        for k, c in enumerate(sol.coeffs):
+            factor = ONE
+            for i in range(j):
+                factor = factor * (sol.rho + k - i)
+            acc = acc + c * factor * tpow
+            tpow = tpow * t
+        out.append(acc)
+    return out
+
+
+_small = st.builds(lambda n, d: fe(n, d).ar, st.integers(-9, 9),
+                   st.integers(1, 6))
+# a real and a non-real radicand, neither a square in Q(i)
+_RADICANDS = [(2, 0), (fe(5, 7).ar, 0), (1, 2)]
+
+
+@st.composite
+def _scalars(draw, kind, d):
+    """A rational, Gaussian or Q(sqrt d) element (some parts zero)."""
+    ar = draw(_small)
+    ai = draw(_small) if kind != "rational" and draw(st.booleans()) else 0
+    if kind != "extension" or not draw(st.integers(0, 3)):
+        return FieldElement.make(ar, ai)
+    return FieldElement.make(ar, ai, draw(_small), draw(_small), d)
+
+
+@st.composite
+def _solutions_and_points(draw):
+    kind = draw(st.sampled_from(["rational", "gaussian", "extension"]))
+    d = draw(st.sampled_from(_RADICANDS))
+    scalar = _scalars(kind, d)
+    coeffs = [ONE] + draw(st.lists(scalar, max_size=12))
+    if draw(st.booleans()):
+        coeffs += [ZERO] * draw(st.integers(1, 3))  # a terminating series
+    rho = draw(st.one_of(_scalars("rational", d), scalar))
+    sol = FrobeniusSolution(draw(_scalars("rational", d)), rho,
+                            tuple(coeffs), len(coeffs) - 1)
+    circle = circle_points(Q(1, draw(st.integers(1, 12))), 8)
+    points = st.one_of(st.sampled_from(circle), _scalars("gaussian", d),
+                       _scalars(kind, d))
+    return sol, draw(st.lists(points, min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_solutions_and_points(), orders=st.lists(st.integers(0, 4),
+                                                     min_size=1, max_size=3))
+def test_derivative_values_match_reference(backend, case, orders):
+    sol, points = case
+    # several points and orders per solution: the cached rows are reused
+    # and extended in any order
+    for t in points:
+        for order in orders:
+            assert sol.derivative_values(t, order) == \
+                _reference_derivative_values(sol, t, order)
+
+
+def test_derivative_values_integer_path_at_catalog_shape():
+    # rho = 0 and rational c_k at a circle point, as every catalog record
+    p = heun_op()
+    sol = frobenius_series(p, ZERO, ZERO, 20)
+    for t in circle_points(Q(1, 10), 8):
+        assert sol.derivative_values(t, 4) == \
+            _reference_derivative_values(sol, t, 4)
+    assert all(isinstance(row, tuple) for row in sol._weight_rows(4))
+    half = frobenius_series(p, ZERO, fe(1, 2), 12)
+    for t in circle_points(Q(1, 7), 3):
+        assert half.derivative_values(t, 3) == \
+            _reference_derivative_values(half, t, 3)
+
+
+def _series_records():
+    return [r for r in cat.enumerate_cases() if r.series is not None]
+
+
+def _series_factors(record, seed=0):
+    """(l_op, [monic Q, monic P], x0, rho, radius) as _series_check has them."""
+    env = cat.resolve_env(record, cat.draw_env(record, seed, 0))
+    overrides = {k: eval_scalar(v, env) for k, v in
+                 (record.series.get("overrides") or {}).items()}
+    full = cat.resolve_env(record, env, overrides)
+    p, q = cat.build_case(record, full)
+    factors = [f if f.is_monic() else f.scale(f.leading.inverse())
+               for f in (q, p)]
+    x0 = eval_scalar(record.series.get("x0", "0"), full)
+    rho = eval_scalar(record.series.get("exponent", "0"), full)
+    return compose(q, p), factors, x0, rho, cat._series_radius(p, x0)
+
+
+def test_truncations_are_prefixes_of_one_recurrence():
+    records = _series_records()
+    assert len(records) >= 6
+    for record in records:
+        _, factors, x0, rho, _ = _series_factors(record)
+        for factor in factors:
+            full = frobenius_series(factor, x0, rho, 40)
+            for n in (10, 20):
+                sol = frobenius_series(factor, x0, rho, n)
+                assert full.coeffs[:n + 1] == sol.coeffs
+                assert full.truncated(n) == sol
+
+
+def _reference_residual(op, sol, radius, points, dps=60):
+    """series_residual as it was: one solution, the reference derivative
+    values, the operator re-evaluated at every point."""
+    worst = mpmath.mpf(0)
+    with mpmath.workdps(dps):
+        for t in circle_points(radius, points):
+            derivs = _reference_derivative_values(sol, t, op.order)
+            logt = mpmath.log(t.to_mpc(mpmath.mp))
+            acc = mpmath.mpc(0)
+            for j in range(op.order + 1):
+                c = op.coeff(j)
+                if c.is_zero:
+                    continue
+                cval = c.eval(sol.x0 + t).to_mpc(mpmath.mp)
+                scale = mpmath.exp((sol.rho - j).to_mpc(mpmath.mp) * logt)
+                acc += cval * derivs[j].to_mpc(mpmath.mp) * scale
+            worst = max(worst, abs(acc))
+    return float(worst)
+
+
+def test_shared_residuals_equal_the_one_solution_protocol():
+    # the residual floats themselves, not only the verdicts, are unchanged
+    record = _series_records()[0]
+    l_op, factors, x0, rho, radius = _series_factors(record)
+    sols = [frobenius_series(f, x0, rho, 20) for f in factors]
+    sols = [s.truncated(n) for s in sols for n in (10, 20)]
+    results = series_residuals(l_op, sols, radius, 4)
+    assert [r.truncation for r in results] == [10, 20, 10, 20]
+    assert [r.max_residual for r in results] == \
+        [_reference_residual(l_op, s, radius, 4) for s in sols]
+    assert results[1].max_residual == \
+        series_residual(l_op, sols[1], radius, 4).max_residual
+
+
+def test_series_residuals_refuse_mixed_expansion_points():
+    p = heun_op()
+    sols = [frobenius_series(p, ZERO, ZERO, 8),
+            FrobeniusSolution(fe(1, 2), ZERO, (ONE,), 0)]
+    with pytest.raises(ValueError, match="different points"):
+        series_residuals(compose(p, p), sols, Q(1, 10), 4)
