@@ -1,20 +1,23 @@
 """Dense univariate polynomials and Laurent polynomials over FieldElement.
 
-Polynomial stores ascending coefficients with a nonzero leading coefficient
-(the zero polynomial is the empty tuple).  Everything is schoolbook: catalog
-degrees stay far below the point where asymptotics matter.  Products,
-division and gcds of rational polynomials run over Python ints.  Products
-over a real quadratic extension Q(sqrt d), d rational, run over Python ints
-too, as pairs of integer lists over one denominator.  Gaussian operands, a
-non-real d and mixed radicands take the FieldElement loops, as do division
-and gcds over any extension.
+Polynomial stands for ascending coefficients with a nonzero leading
+coefficient (the zero polynomial is the empty tuple).  Everything is
+schoolbook: catalog degrees stay far below the point where asymptotics
+matter.  Products, division and gcds of rational polynomials run over Python
+ints.  Products over a real quadratic extension Q(sqrt d), d rational, run
+over Python ints too, as pairs of integer lists over one denominator.  A
+polynomial that such a kernel returns keeps that integer form as its value:
+degree, equality, sums, rational scaling and the next kernel read the form,
+and the FieldElement coefficient tuple is built only when something asks for
+`coeffs`.  Gaussian operands, a non-real d and mixed radicands take the
+FieldElement loops, as do division and gcds over any extension.
 """
 
 from __future__ import annotations
 
 import math
 
-from .field import FieldElement, ONE, ZERO, _real_quadratic
+from .field import FieldElement, ONE, ZERO, _gaussian, _real_quadratic
 
 
 def _coerce_fe(value) -> FieldElement:
@@ -25,19 +28,22 @@ def _coerce_fe(value) -> FieldElement:
 
 
 class Polynomial:
-    # _ints caches the integer form: (ints, den) when coefficient k is
+    # _ints is the integer form: (ints, den) when coefficient k is
     # ints[k] / den, (ints, den, roots, d) when it is
     # (ints[k] + roots[k]*sqrt(d)) / den for one real radicand d (stored as
-    # FieldElement stores it), or False for any other polynomial; None until
-    # the first integer kernel asks for it.  The kernels never mutate the
-    # lists.
-    __slots__ = ("coeffs", "_ints")
+    # FieldElement stores it, with some roots[k] nonzero), or False for any
+    # other polynomial; None until the first integer kernel asks for it.
+    # A form has no zero top entry, but is not reduced: den may share a
+    # factor with every entry.  A kernel's result stores only its form, and
+    # _coeffs is None until coeffs is first read.  The kernels never mutate
+    # the lists.
+    __slots__ = ("_coeffs", "_ints")
 
     def __init__(self, coeffs=()):
         cs = [_coerce_fe(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._coeffs = tuple(cs)
         self._ints = None
 
     @classmethod
@@ -45,15 +51,26 @@ class Polynomial:
         p = object.__new__(cls)
         while cs and cs[-1].is_zero:
             cs.pop()
-        p.coeffs = tuple(cs)
+        p._coeffs = tuple(cs)
         p._ints = None
         return p
+
+    @property
+    def coeffs(self) -> tuple:
+        """Ascending FieldElement coefficients, built from the integer form
+        on first use."""
+        cs = self._coeffs
+        if cs is None:
+            form = self._ints
+            cs = self._coeffs = tuple(_form_entry(form, k)
+                                      for k in range(len(form[0])))
+        return cs
 
     def _form(self):
         """The integer form (see _ints), computed on first use."""
         form = self._ints
         if form is None:
-            form = self._ints = _integer_form(self.coeffs)
+            form = self._ints = _integer_form(self._coeffs)
         return form
 
     def _int_form(self):
@@ -75,28 +92,36 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
+        cs = self._coeffs
+        return (len(cs) if cs is not None else len(self._ints[0])) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        cs = self._coeffs
+        return not (cs if cs is not None else self._ints[0])
 
     @property
     def leading(self) -> FieldElement:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        cs = self._coeffs
+        return cs[-1] if cs is not None else _form_entry(self._ints, -1)
 
     def coeff(self, k: int) -> FieldElement:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+        return self.coeffs[k] if 0 <= k <= self.degree else ZERO
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return self.degree <= 0
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
+        fa, fb = self._form(), other._form()
+        if fa and fb:
+            form = _form_add(fa, fb)
+            if form:
+                return _from_form(form)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -108,6 +133,10 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
+        form = self._form()
+        if form:
+            # the entries stay, the denominator changes sign
+            return _from_form((form[0], -form[1], *form[2:]))
         return Polynomial._raw([-c for c in self.coeffs])
 
     def __sub__(self, other):
@@ -121,16 +150,18 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(_coerce_fe(other))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial._raw([])
         fa, fb = self._form(), other._form()
         if fa and fb:
+            if not (fa[0] and fb[0]):
+                return Polynomial._raw([])
             if len(fa) == len(fb) == 2:
                 return _from_form((_convolve(fa[0], fb[0]), fa[1] * fb[1]))
             form = _ext_mul(fa, fb)
             if form:
                 return _from_form(form)
+        a, b = self.coeffs, other.coeffs
+        if not (a and b):
+            return Polynomial._raw([])
         cs = [ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca.is_zero:
@@ -144,6 +175,14 @@ class Polynomial:
     def scale(self, c: FieldElement) -> "Polynomial":
         if c.is_zero:
             return Polynomial._raw([])
+        if c.is_rational:
+            form = self._form()
+            if form:
+                n, m = c.ar.numerator, c.ar.denominator
+                ints, den, *ext = form
+                if ext:
+                    ext[0] = [n * y for y in ext[0]]
+                return _from_form(([n * x for x in ints], den * m, *ext))
         return Polynomial._raw([a * c for a in self.coeffs])
 
     def __pow__(self, n: int):
@@ -164,7 +203,8 @@ class Polynomial:
             return Polynomial._raw([]), self
         fa, fb = self._int_form(), other._int_form()
         if fa and fb:
-            return _rational_divmod(fa, fb)
+            quot, rem = _rational_divmod(fa, fb)
+            return _from_form(quot), _from_form(rem)
         rem = list(self.coeffs)
         dq = self.degree - other.degree
         quot = [ZERO] * (dq + 1)
@@ -199,9 +239,10 @@ class Polynomial:
         common factor of the operands divides both norms, so coprime norms
         prove the gcd is 1 (Trager 1976).  Otherwise monic Euclid decides.
         """
-        if self.is_zero or other.is_zero:
-            return (other if self.is_zero else self).monic()
-        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+        da, db = self.degree, other.degree
+        if da < 0 or db < 0:
+            return (other if da < 0 else self).monic()
+        if da == 0 or db == 0:
             return P_ONE
         fa, fb = self._int_form(), other._int_form()
         if fa and fb:
@@ -224,8 +265,7 @@ class Polynomial:
         if len(form) == 2:
             return _from_form((ints, form[1]))
         roots = [k * x for k, x in enumerate(form[2])][1:]
-        return _from_form((ints, form[1], roots, form[3]) if any(roots)
-                          else (ints, form[1]))
+        return _from_form((ints, form[1], roots, form[3]))
 
     def shift(self, c: FieldElement) -> "Polynomial":
         """Taylor shift: the polynomial p(x + c) (Horner in x + c)."""
@@ -243,6 +283,9 @@ class Polynomial:
         return Polynomial._raw(out)
 
     def eval(self, x: FieldElement) -> FieldElement:
+        form = self._int_form() if x.d is None else False
+        if form:
+            return _gaussian_horner(*form, *_gaussian_parts(x.ar, x.ai))
         acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -258,9 +301,24 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        a, b = self._coeffs, other._coeffs
+        if a is not None and b is not None:
+            return a == b
+        # one side holds only a form; a polynomial without one (form False)
+        # has a Gaussian part, mixed radicands or a non-real d, so it equals
+        # no polynomial that has a form
+        fa, fb = self._form(), other._form()
+        if not (fa and fb) or len(fa) != len(fb) \
+                or len(fa[0]) != len(fb[0]) or fa[3:] != fb[3:]:
+            return False
+        da, db = fa[1], fb[1]
+        # fa[::2] is (ints,), or (ints, roots) over Q(sqrt d)
+        return all(x * db == y * da
+                   for part_a, part_b in zip(fa[::2], fb[::2])
+                   for x, y in zip(part_a, part_b))
 
     def __hash__(self):
+        # the coefficients are canonical; forms are not
         return hash(self.coeffs)
 
     def __str__(self):
@@ -302,6 +360,26 @@ def _convolve(a: list, b: list) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _gaussian_horner(ints, den, p, q, m) -> FieldElement:
+    """sum_k (ints[k] / den) * ((p + qi) / m)^k, by Horner's rule over
+    Gaussian integers: the coefficient of degree k is scaled by m^(n-1-k)
+    so that no division happens before the end."""
+    x = y = 0
+    scale = 1
+    for a in reversed(ints):
+        x, y = x * p - y * q + a * scale, x * q + y * p
+        scale *= m
+    # x + yi = m^(n-1) * den * value, and scale = m^n
+    return _gaussian(x * m, y * m, den * scale)
+
+
+def _gaussian_parts(re, im):
+    """(p, q, m) over the integers with re + im*i = (p + qi) / m."""
+    m = math.lcm(re.denominator, im.denominator)
+    return (re.numerator * (m // re.denominator),
+            im.numerator * (m // im.denominator), m)
 
 
 def _scaled(qs: list, den: int) -> list:
@@ -348,24 +426,69 @@ def _ext_mul(fa, fb):
         roots = [q * (x + y)
                  for x, y in zip(_convolve(a, fb[2]), _convolve(fa[2], b))]
         den *= q
-    return (ints, den, roots, d) if any(roots) else (ints, den)
+    return ints, den, roots, d
+
+
+def _form_entry(form, k: int) -> FieldElement:
+    """Coefficient k of the polynomial an integer form stands for."""
+    if len(form) == 2:
+        return FieldElement.from_rational(form[0][k], form[1])
+    return _real_quadratic(form[0][k], form[2][k], form[1], form[3])
+
+
+def _lin(a: list, ma: int, b: list, mb: int) -> list:
+    """ma*a + mb*b for ascending integer lists of any lengths."""
+    if len(a) < len(b):
+        a, ma, b, mb = b, mb, a, ma
+    out = [ma * x for x in a]
+    for k, y in enumerate(b):
+        out[k] += mb * y
+    return out
+
+
+def _form_add(fa, fb):
+    """Integer form of the sum of two integer forms, over the lcm of their
+    denominators, or None when their radicands differ."""
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
+    if len(fb) == 4 and fb[3] != fa[3]:
+        return None
+    g = math.gcd(fa[1], fb[1])
+    ma, mb = fb[1] // g, fa[1] // g
+    ints = _lin(fa[0], ma, fb[0], mb)
+    if len(fa) == 2:
+        return ints, fa[1] * ma
+    roots_b = fb[2] if len(fb) == 4 else [0] * len(fb[0])
+    return ints, fa[1] * ma, _lin(fa[2], ma, roots_b, mb), fa[3]
 
 
 def _from_form(form) -> Polynomial:
-    """The polynomial an integer form stands for, with the form cached."""
-    ints, den = form[0], form[1]
+    """The polynomial an integer form stands for, holding only the form:
+    zero top entries are dropped, and so is a root part that vanished."""
+    if len(form) == 4 and not any(form[2]):
+        form = form[:2]
+    ints = form[0]
+    n = len(ints)
     if len(form) == 2:
-        cs = [FieldElement.from_rational(c, den) for c in ints]
+        while n and not ints[n - 1]:
+            n -= 1
+        if n < len(ints):
+            form = ints[:n], form[1]
     else:
-        roots, d = form[2], form[3]
-        cs = [_real_quadratic(x, y, den, d) for x, y in zip(ints, roots)]
-    p = Polynomial._raw(cs)
+        roots = form[2]
+        while n and not (ints[n - 1] or roots[n - 1]):
+            n -= 1
+        if n < len(ints):
+            form = ints[:n], form[1], roots[:n], form[3]
+    p = object.__new__(Polynomial)
+    p._coeffs = None
     p._ints = form
     return p
 
 
 def _rational_divmod(fa, fb):
-    """Exact Q quotient and remainder of two integer forms, deg a >= deg b.
+    """Integer forms of the exact Q quotient and remainder of two integer
+    forms, deg a >= deg b; the remainder may have zero top entries.
 
     Pseudo-division with the multiplier reduced at each step: the loop keeps
     s*A = quot*B + rem, and multiplies by lb/gcd(c, lb) only what the next
@@ -390,12 +513,8 @@ def _rational_divmod(fa, fb):
         for j in range(n):
             rem[k + j] -= t * b[j]
         quot[k] = t
-    den, rem = s * da, rem[:n]
-    if not any(rem):
-        rem = []
-    return (Polynomial._raw([FieldElement.from_rational(x * db, den)
-                             for x in quot]),
-            Polynomial._raw([FieldElement.from_rational(x, den) for x in rem]))
+    den = s * da
+    return ([x * db for x in quot], den), (rem[:n], den)
 
 
 def _norm_ints(coeffs) -> list | None:

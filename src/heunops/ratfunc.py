@@ -447,13 +447,46 @@ def _reconstruct_rational(value: float) -> list:
     return out
 
 
-def poly_roots(p: Polynomial, tol: float = 1e-12):
+#: Distance from a numeric root within which a reconstructed Gaussian
+#: rational candidate is tested as an exact root.
+ROOT_WINDOW = 1e-6
+
+
+def _vanishes_at(p: Polynomial, x: FieldElement) -> bool:
+    """Whether p(x) = 0.  For rational p and x = u/v in lowest terms, v must
+    divide p's leading integer entry (rational root theorem); p.eval runs
+    over the integers too."""
+    form = p._int_form()
+    if form and x.is_rational and form[0][-1] % x.ar.denominator:
+        return False
+    return p.eval(x).is_zero
+
+
+def _exact_root_near(p: Polynomial, z, found: list):
+    """The first small-denominator Gaussian rational within ROOT_WINDOW of
+    the numeric root z, not in found, at which p vanishes, or None.  Each
+    part of z is reconstructed once; candidates run real part first."""
+    ims = [(im, float(im)) for im in _reconstruct_rational(float(z.imag))]
+    for re in _reconstruct_rational(float(z.real)):
+        x = float(re)
+        for im, y in ims:
+            if abs(complex(x, y) - z) > ROOT_WINDOW:
+                continue
+            cand = FieldElement.make(Q(re.numerator, re.denominator),
+                                     Q(im.numerator, im.denominator))
+            if cand not in found and _vanishes_at(p, cand):
+                return cand
+    return None
+
+
+def poly_roots(p: Polynomial):
     """Roots of p: exact ones where reconstructible, the rest numeric.
 
     Numeric roots come from the numpy companion-matrix solver; each is tested
-    against small-denominator Gaussian-rational candidates and kept exact when
-    the candidate is verified to be a true root.  Returns
-    (exact: list[(FieldElement, multiplicity)], numeric: list[complex]).
+    against small-denominator Gaussian-rational candidates within ROOT_WINDOW
+    of it and kept exact when the candidate is verified to be a true root.
+    Returns (exact: list[(FieldElement, multiplicity)], numeric:
+    list[complex]).
     """
     if p.degree <= 0:
         return [], []
@@ -462,24 +495,15 @@ def poly_roots(p: Polynomial, tol: float = 1e-12):
     exact: list = []
     remaining = p
     for z in numeric_roots:
-        candidates = []
-        for re_c in _reconstruct_rational(float(z.real)):
-            for im_c in _reconstruct_rational(float(z.imag)):
-                candidates.append(FieldElement.make(Q(re_c.numerator, re_c.denominator),
-                                                    Q(im_c.numerator, im_c.denominator)))
-        for cand in candidates:
-            if any(cand == e for e, _ in exact):
-                continue
-            if abs(cand.to_complex() - z) > max(1e-6, tol):
-                continue
-            if remaining.eval(cand).is_zero:
-                mult = 0
-                lin = poly_x_minus(cand)
-                while remaining.degree >= 1 and remaining.eval(cand).is_zero:
-                    remaining = remaining // lin
-                    mult += 1
-                exact.append((cand, mult))
-                break
+        cand = _exact_root_near(remaining, z, [e for e, _ in exact])
+        if cand is None:
+            continue
+        lin = poly_x_minus(cand)
+        remaining, mult = remaining // lin, 1
+        while remaining.degree >= 1 and _vanishes_at(remaining, cand):
+            remaining = remaining // lin
+            mult += 1
+        exact.append((cand, mult))
     numeric = []
     if remaining.degree >= 1:
         rem_coeffs = [c.to_complex() for c in reversed(remaining.coeffs)]

@@ -134,7 +134,7 @@ def gorder_q1(p: DiffOp, spec: SemiCommuteSpec) -> DiffOp:
     return DiffOp([q0, RationalFunction.constant(spec.beta1)])
 
 
-def residual(p: DiffOp, q: DiffOp, root_tol: float = 1e-12) -> ResidualReport:
+def residual(p: DiffOp, q: DiffOp) -> ResidualReport:
     """Commutativity residual of a semi-commuting pair.
 
     The commutator P∘Q - Q∘P must already be a multiplication operator;
@@ -149,7 +149,7 @@ def residual(p: DiffOp, q: DiffOp, root_tol: float = 1e-12) -> ResidualReport:
         raise NotSemiCommutingError(
             f"commutator has order {c.order}, not a semi-commuting pair")
     res = c.coeff(0)
-    exact, numeric = poly_roots(res.num, tol=root_tol)
+    exact, numeric = poly_roots(res.num)
     points = [p_ for p_, _ in exact] + list(numeric)
     return ResidualReport(res, False, tuple(points))
 

@@ -29,19 +29,20 @@ ints over one denominator, and at a Gaussian rational point it is evaluated
 by Horner's rule over Gaussian integers; any other row or point (Gaussian or
 Q(sqrt d) data) takes a FieldElement Horner loop.  Every value is exact
 either way.  series_residuals checks several solutions at one expansion
-point and shares the radius guard and the operator's values at each point.
+point and shares the radius guard and the operator's values at each point
+(Polynomial.eval runs the same Gaussian-integer Horner rule on rational
+coefficients).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
 import mpmath
 
-from .field import FieldElement, ONE, ZERO, Q, _gaussian
+from .field import FieldElement, ONE, ZERO, Q
 from .diffop import DiffOp
-from .poly import Polynomial
+from .poly import Polynomial, _gaussian_horner, _gaussian_parts
 
 
 class IrregularSingularPointError(ValueError):
@@ -98,15 +99,13 @@ class FrobeniusSolution:
         by Horner's rule; for rational rows and a Gaussian rational t the
         rule runs over Gaussian integers on one common denominator.
         """
-        if t.d is None:  # t = (p + qi) / m
-            m = lcm(t.ar.denominator, t.ai.denominator)
-            p = t.ar.numerator * (m // t.ar.denominator)
-            q = t.ai.numerator * (m // t.ai.denominator)
+        if t.d is None:
+            point = _gaussian_parts(t.ar, t.ai)
         out = []
         for row in self._weight_rows(max_order)[:max_order + 1]:
             if isinstance(row, tuple):
                 if t.d is None:
-                    out.append(_gaussian_horner(*row, p, q, m))
+                    out.append(_gaussian_horner(*row, *point))
                     continue
                 row = [FieldElement.from_rational(x, row[1]) for x in row[0]]
             acc = ZERO
@@ -114,19 +113,6 @@ class FrobeniusSolution:
                 acc = acc * t + c
             out.append(acc)
         return out
-
-
-def _gaussian_horner(ints, den, p, q, m) -> FieldElement:
-    """sum_k (ints[k] / den) * ((p + qi) / m)^k, by Horner's rule over
-    Gaussian integers: the coefficient of degree k is scaled by m^(n-1-k)
-    so that no division happens before the end."""
-    x = y = 0
-    scale = 1
-    for a in reversed(ints):
-        x, y = x * p - y * q + a * scale, x * q + y * p
-        scale *= m
-    # x + yi = m^(n-1) * den * value, and scale = m^n
-    return _gaussian(x * m, y * m, den * scale)
 
 
 def _cleared_local_data(op: DiffOp, x0: FieldElement):
@@ -254,14 +240,19 @@ class SeriesResidualResult:
 
 
 def _nearest_pole_distance(op: DiffOp, x0: FieldElement) -> float | None:
+    """Distance from x0 to the nearest other pole of the operator's
+    coefficients, exact roots and numeric ones; poly_roots runs once per
+    distinct denominator."""
     from .ratfunc import poly_roots
 
     best = None
     x0c = x0.to_complex()
+    dens = []
     for c in op.coeffs:
-        if c.den.degree < 1:
-            continue
-        exact, numeric = poly_roots(c.den)
+        if c.den.degree >= 1 and c.den not in dens:
+            dens.append(c.den)
+    for den in dens:
+        exact, numeric = poly_roots(den)
         for root, _m in exact:
             dist = abs(root.to_complex() - x0c)
             if dist > 1e-12 and (best is None or dist < best):

@@ -165,19 +165,29 @@ def _fingerprint(output):
     return output
 
 
-def test_verify_all_seed0_matches_golden(capsys):
-    """The exact part of `heunops verify-all --seed 0`, line by line, against
-    tests/data/verify_all_seed0.jsonl.  Regenerate that file only when a
-    change of verdict or printed diff is intended: run the command and write
-    each line through _fingerprint."""
-    golden = Path(__file__).parent / "data" / "verify_all_seed0.jsonl"
-    code, out, _ = run_cli(capsys, "verify-all", "--seed", "0")
+def _assert_verify_all_matches_golden(capsys, seed):
+    """The exact part of `heunops verify-all --seed <seed>`, line by line,
+    against tests/data/verify_all_seed<seed>.jsonl.  Regenerate that file
+    only when a change of verdict or printed diff is intended: run the
+    command and write each line through _fingerprint."""
+    golden = Path(__file__).parent / "data" / f"verify_all_seed{seed}.jsonl"
+    code, out, _ = run_cli(capsys, "verify-all", "--seed", str(seed))
     assert code == 0
     fresh = [_fingerprint(json.loads(line)) for line in out.splitlines()]
     expected = [json.loads(line) for line in golden.read_text().splitlines()]
     assert len(fresh) == len(expected)
     for got, want in zip(fresh, expected):
         assert got == want
+
+
+def test_verify_all_seed0_matches_golden(capsys):
+    _assert_verify_all_matches_golden(capsys, 0)
+
+
+def test_verify_all_seed101_matches_golden(capsys):
+    """Seed 101 draws heun.n2.case1 with a = 3/4, where poly_roots must go
+    on past a candidate equal to a root it already extracted."""
+    _assert_verify_all_matches_golden(capsys, 101)
 
 
 def test_verify_all_text_marks_crashes(capsys, monkeypatch):

@@ -428,6 +428,122 @@ def test_integer_divmod_non_monic_divisors(backend):
     assert quot == b and rem == Polynomial([fe(1, 11)])
 
 
+# -- integer forms as the stored value ------------------------------------------
+
+
+@st.composite
+def integer_forms(draw, d):
+    """An integer form as a kernel may return it: not reduced (den shares a
+    factor k with every entry, k possibly negative), possibly with zero top
+    entries, and over Q(sqrt d) possibly with a root part that cancels."""
+    k = draw(st.sampled_from([1, 2, 6, -3]))
+    n = draw(st.integers(0, 5))
+    ints = [k * draw(_ints) for _ in range(n)] + [0] * draw(st.integers(0, 2))
+    den = k * draw(_dens)
+    if d is None:
+        return ints, den
+    roots = ([0] * len(ints) if draw(st.integers(0, 3)) == 0
+             else [k * draw(_ints) for _ in ints])
+    return ints, den, roots, d
+
+
+def _rescaled(form, k):
+    """The same polynomial over den * k."""
+    ints, den, *ext = form
+    if ext:
+        ext = [[k * y for y in ext[0]], ext[1]]
+    return ([k * x for x in ints], den * k, *ext)
+
+
+def _form_coeffs(form):
+    """The coefficients a form stands for, built one at a time."""
+    ints, den, *ext = form
+    roots, d = ext or ([0] * len(ints), None)
+    return [FieldElement.make(fe(x, den).ar, 0, fe(y, den).ar, 0, d)
+            for x, y in zip(ints, roots)]
+
+
+def _horner(cs, x):
+    acc = ZERO
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(_ORACLE_SETTINGS, max_examples=250)
+@given(data=st.data())
+def test_integer_forms_agree_with_coefficients(backend, data):
+    d = data.draw(st.sampled_from([None, _SQRT2, (fe(5, 7).ar, 0), (-3, 0)]))
+    if d is not None:
+        d = FieldElement.make(0, 0, 1, 0, d).d
+    fa = data.draw(integer_forms(d))
+    fb = (_rescaled(fa, data.draw(st.sampled_from([2, -5])))
+          if data.draw(st.integers(0, 3)) == 0 else data.draw(integer_forms(d)))
+    # a, b hold coefficients only; form(...) holds only the integer form,
+    # fresh for each use, so that no check reads a coefficient tuple that an
+    # earlier check built
+    a, b = Polynomial(_form_coeffs(fa)), Polynomial(_form_coeffs(fb))
+
+    def form(f):
+        p = poly._from_form(f)
+        assert p._coeffs is None
+        return p
+
+    def same(got, want):
+        assert got.coeffs == want.coeffs
+        _assert_integer_form(got)
+
+    # structure
+    assert form(fa).degree == a.degree
+    assert form(fa).is_zero == a.is_zero
+    assert form(fa).is_constant() == a.is_constant()
+    if not a.is_zero:
+        assert form(fa).leading == a.coeffs[-1]
+    for k in range(-1, len(fa[0]) + 2):
+        assert form(fa).coeff(k) == a.coeff(k)
+    same(form(fa), a)
+    # equality and hashing, across the two representations
+    equal = a.coeffs == b.coeffs
+    for x, y in ((form(fa), form(fb)), (form(fa), b), (a, form(fb))):
+        assert (x == y) == (y == x) == equal
+        if equal:
+            assert hash(x) == hash(y)
+    assert form(fa) == a and hash(form(fa)) == hash(a)
+    # arithmetic: the form-only operands, the coefficient operands and the
+    # coefficient loop agree
+    pad = max(len(a.coeffs), len(b.coeffs))
+    ca = list(a.coeffs) + [ZERO] * (pad - len(a.coeffs))
+    cb = list(b.coeffs) + [ZERO] * (pad - len(b.coeffs))
+    c = data.draw(rationals())
+    x0 = data.draw(st.one_of(rationals(), gaussians()))
+    for got, ref, want in (
+            (form(fa) + form(fb), a + b,
+             Polynomial([x + y for x, y in zip(ca, cb)])),
+            (form(fa) - form(fb), a - b,
+             Polynomial([x - y for x, y in zip(ca, cb)])),
+            (-form(fa), -a, Polynomial([-x for x in a.coeffs])),
+            (form(fa).scale(c), a.scale(c),
+             Polynomial([x * c for x in a.coeffs])),
+            (form(fa) * form(fb), a * b, schoolbook_mul(a, b)),
+            (form(fa).derivative(), a.derivative(),
+             Polynomial([k * x for k, x in enumerate(a.coeffs)][1:])),
+            (form(fa).monic(), a.monic(),
+             a if a.is_zero else Polynomial(
+                 [x / a.coeffs[-1] for x in a.coeffs]))):
+        same(got, want)
+        same(ref, want)
+    assert form(fa).eval(x0) == a.eval(x0) == _horner(a.coeffs, x0)
+    if not b.is_zero:
+        want = schoolbook_divmod(a, b)
+        for got in (form(fa).divmod(form(fb)), a.divmod(b)):
+            same(got[0], want[0])
+            same(got[1], want[1])
+    g = form(fa).gcd(form(fb))
+    same(g, a.gcd(b))
+    if d is None:
+        assert to_sympy(g, sp.QQ) == sympy_gcd(a, b, sp.QQ)
+
+
 def test_shift_is_substitution():
     rng = random.Random(11)
     for _ in range(50):

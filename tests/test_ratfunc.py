@@ -2,13 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heunops.field import fe, ONE, ZERO
+from heunops.field import FieldElement, Q, fe, ONE, ZERO
 from heunops.poly import P_ONE, P_X, Polynomial, poly_x_minus
 from heunops.ratfunc import (LogObstructionError, PoleError, RationalFunction,
-                             UnexplainedFactorError, antiderivative,
-                             partial_fractions, pole_order,
+                             UnexplainedFactorError, _reconstruct_rational,
+                             antiderivative, partial_fractions, pole_order,
                              poly_roots, rf)
 
 
@@ -199,3 +201,68 @@ def test_subst_inverse():
     g = f.subst_inverse()  # 1/(1/x - 2) = x/(1-2x)
     x = 0.37
     assert abs(g.eval_complex(x) - 1 / (1 / x - 2)) < 1e-12
+
+
+# -- poly_roots against the candidate loop it replaced ------------------------
+
+def _reference_poly_roots(p):
+    """poly_roots as a plain loop: a FieldElement candidate for every pair of
+    reconstructed parts, the window applied to it, Polynomial.eval to
+    certify it."""
+    numeric_roots = np.roots([c.to_complex() for c in reversed(p.coeffs)])
+    exact, remaining = [], p
+    for z in numeric_roots:
+        for re_c in _reconstruct_rational(float(z.real)):
+            for im_c in _reconstruct_rational(float(z.imag)):
+                cand = FieldElement.make(Q(re_c.numerator, re_c.denominator),
+                                         Q(im_c.numerator, im_c.denominator))
+                if any(cand == e for e, _ in exact):
+                    continue
+                if abs(cand.to_complex() - z) > 1e-6:
+                    continue
+                if remaining.eval(cand).is_zero:
+                    mult = 0
+                    while (remaining.degree >= 1
+                           and remaining.eval(cand).is_zero):
+                        remaining = remaining // poly_x_minus(cand)
+                        mult += 1
+                    exact.append((cand, mult))
+                    break
+            else:
+                continue
+            break
+    numeric = []
+    if remaining.degree >= 1:
+        numeric = [complex(z) for z in np.roots(
+            [c.to_complex() for c in reversed(remaining.coeffs)])]
+    return exact, numeric
+
+
+@st.composite
+def planted_root_polys(draw):
+    """A product of linear factors at Gaussian rationals with denominators
+    up to 16, some doubled, times near misses: x^2 - r with r just above
+    (k/q)^2, whose irrational roots lie within 1e-6 of k/q."""
+    def part():
+        return fe(draw(st.integers(-20, 20)), draw(st.integers(1, 16))).ar
+
+    p = Polynomial([fe(draw(st.integers(1, 6)), draw(st.integers(1, 6)))])
+    for _ in range(draw(st.integers(0, 3))):
+        root = FieldElement.make(part(), part() if draw(st.booleans()) else 0)
+        p = p * poly_x_minus(root) ** draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(0, 1))):
+        k, q = draw(st.integers(1, 9)), draw(st.integers(1, 16))
+        r = fe(k * k, q * q) + fe(1, 10 ** draw(st.integers(6, 8)))
+        p = p * Polynomial([-r, ZERO, ONE])
+    return p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(p=planted_root_polys())
+def test_poly_roots_matches_the_reference_loop(p):
+    exact, numeric = poly_roots(p)
+    assert (exact, numeric) == _reference_poly_roots(p)
+    product = Polynomial([p.leading])
+    for root, mult in exact:
+        product = product * poly_x_minus(root) ** mult
+    assert (p % product).is_zero
