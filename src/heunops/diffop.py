@@ -4,14 +4,30 @@ A DiffOp is a coefficient list indexed by derivative order:
 coeffs[k] multiplies d^k/dx^k.  Composition expands A∘B through the Leibniz
 rule; the commutator, gauge conjugation by e^{g}, and application to rational
 functions are built on top of it.
+
+Products run over one common denominator (Bronstein and Petkovšek, *An
+introduction to pseudo-linear algebra*, 1996).  Each operand's coefficients
+are brought over the lcm of their denominators: A = (sum â_i d^i)/e and
+B = (sum N_j d^j)/d.  With g = gcd(d, d'), u = d/g and v = d'/g, the
+derivatives of N/d keep polynomial numerators,
+
+    (N/(d u^t))' = (N' u - N (v + t u')) / (d u^(t+1)),
+
+so one gcd serves the whole derivative table, and coefficient k of A∘B is
+
+    sum C(i, m) â_i N_{j,i-m} u^(n-(i-m))  over  e d u^n,   m + j = k,
+
+with n = ord A and N_{j,t} the numerator of the t-th derivative of b_j.
+Each output coefficient is reduced once.  The commutator subtracts its two
+unreduced products over the lcm of their denominators, so a coefficient that
+cancels costs no gcd at all.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .field import FieldElement
-from .poly import LaurentPolynomial, Polynomial
+from .poly import LaurentPolynomial, P_ONE, P_ZERO, Polynomial
 from .ratfunc import RF_ONE, RF_ZERO, RationalFunction
 
 
@@ -103,38 +119,11 @@ class DiffOp:
 
     # -- multiplication ------------------------------------------------------------
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Operator product self∘other (apply other first).
-
-        d^i (b_j d^j f) = sum_m C(i,m) b_j^(i-m) d^(m+j) f, so each pair of
-        coefficients scatters across the result through derivatives of b_j.
-        """
+        """Operator product self∘other (apply other first)."""
         if self.is_zero or other.is_zero:
             return DiffOp.zero()
-        n = self.order
-        # derivative table: derivs[j][t] = t-th derivative of other.coeffs[j]
-        derivs = []
-        for b in other.coeffs:
-            row = [b]
-            for _ in range(n):
-                row.append(row[-1].derivative())
-            derivs.append(row)
-        out = [RF_ZERO] * (self.order + other.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, row in enumerate(derivs):
-                if other.coeffs[j].is_zero:
-                    continue
-                for m in range(i + 1):
-                    term = row[i - m]
-                    if term.is_zero:
-                        continue
-                    c = comb(i, m)
-                    piece = a * term
-                    if c != 1:
-                        piece = piece * FieldElement.from_rational(c)
-                    out[m + j] = out[m + j] + piece
-        return DiffOp._raw(out)
+        nums, den = _product(_over_one_den(self), _over_one_den(other))
+        return DiffOp._raw([RationalFunction(num, den) for num in nums])
 
     def apply(self, f: RationalFunction) -> RationalFunction:
         """The operator applied to a rational function."""
@@ -178,13 +167,98 @@ class DiffOp:
         return f"DiffOp[{self}]"
 
 
+def _join(a: Polynomial, b: Polynomial) -> Polynomial:
+    """lcm of two monic polynomials.  Equal operands, and one that divides
+    the other, cost no gcd."""
+    if b.degree <= 0 or a == b:
+        return a
+    if a.degree <= 0:
+        return b
+    if a.degree > b.degree:
+        if (a % b).is_zero:
+            return a
+    elif b.degree > a.degree and (b % a).is_zero:
+        return b
+    return a * (b // a.gcd(b))
+
+
+def _over_one_den(op: DiffOp):
+    """(numerators, den): op's coefficients over the lcm of their
+    denominators."""
+    den = P_ONE
+    for c in op.coeffs:
+        den = _join(den, c.den)
+    nums = []
+    for c in op.coeffs:
+        if c.den == den:
+            nums.append(c.num)
+        else:
+            nums.append(c.num * (den if c.den.degree <= 0 else den // c.den))
+    return nums, den
+
+
+def _product(a, b):
+    """a∘b for operators given as (numerators, den): its numerators over the
+    one denominator e d u^n, unreduced (see the module docstring)."""
+    (an, e), (bn, d) = a, b
+    n = len(an) - 1
+    # with d = 1, b's coefficients are polynomials: u = 1, plain derivatives
+    u = P_ONE
+    if d.degree > 0:
+        dp = d.derivative()
+        g = d.gcd(dp)
+        u, v = (d // g, dp // g) if g.degree > 0 else (d, dp)
+        up = u.derivative()
+    # table[j][t]: numerator of the t-th derivative of b_j over d u^t
+    table = []
+    for num in bn:
+        row = []
+        if not num.is_zero:
+            row.append(num)
+            for t in range(n):
+                num = num.derivative()
+                if u is not P_ONE:
+                    num = num * u - row[-1] * (v + up * t)
+                row.append(num)
+        table.append(row)
+    powers = [P_ONE]
+    if u is not P_ONE:
+        for _ in range(n):
+            powers.append(powers[-1] * u)
+    out = [P_ZERO] * (n + len(bn))
+    for i, num in enumerate(an):
+        if num.is_zero:
+            continue
+        for t in range(i + 1):
+            # a_i's share of every term that takes t derivatives of b
+            c = comb(i, t)
+            w = num if c == 1 else num * c
+            if u is not P_ONE and t < n:
+                w = w * powers[n - t]
+            for j, row in enumerate(table):
+                if t < len(row):
+                    out[i - t + j] = out[i - t + j] + w * row[t]
+    return out, e if u is P_ONE else e * d * powers[n]
+
+
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     return a.compose(b)
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    """[a, b] = a∘b - b∘a."""
-    return a.compose(b) - b.compose(a)
+    """[a, b] = a∘b - b∘a, both products subtracted before reduction."""
+    if a.is_zero or b.is_zero:
+        return DiffOp.zero()
+    fa, fb = _over_one_den(a), _over_one_den(b)
+    (x, ex), (y, ey) = _product(fa, fb), _product(fb, fa)
+    den = _join(ex, ey)
+    if den != ex:
+        m = den // ex
+        x = [p * m for p in x]
+    if den != ey:
+        m = den // ey
+        y = [q * m for q in y]
+    return DiffOp._raw([RationalFunction(p - q, den) for p, q in zip(x, y)])
 
 
 def gauge_transform(op: DiffOp, g: LaurentPolynomial) -> DiffOp:

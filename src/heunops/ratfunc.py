@@ -436,12 +436,43 @@ def pole_order(f: RationalFunction, x0: FieldElement) -> int:
     return dv
 
 
+#: Denominator bounds of the candidates _reconstruct_rational returns.
+_DENOMINATOR_LIMITS = (1, 2, 4, 8, 16, 64, 4096, 10 ** 6, 10 ** 9)
+
+
 def _reconstruct_rational(value: float) -> list:
-    """Small-denominator rational candidates near a float."""
+    """Small-denominator rational candidates near a float: for each bound L
+    in _DENOMINATOR_LIMITS, Fraction(value).limit_denominator(L), with
+    consecutive repeats dropped.
+
+    One continued-fraction pass serves every bound, since each bound only
+    takes the expansion further.  As in limit_denominator, the answer is
+    the last convergent p1/q1 with q1 <= L unless the semiconvergent
+    (p0 + k p1)/(q0 + k q1) is strictly closer; the distances are compared
+    by integer cross-multiplication.
+    """
+    exact = Fraction(value)
+    num, den = exact.numerator, exact.denominator
     out = []
-    frac = Fraction(value)
-    for limit in (1, 2, 4, 8, 16, 64, 4096, 10 ** 6, 10 ** 9):
-        cand = frac.limit_denominator(limit)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    for limit in _DENOMINATOR_LIMITS:
+        if den <= limit:
+            cand = exact
+        else:
+            while True:
+                a = n // d
+                q2 = q0 + a * q1
+                if q2 > limit:
+                    break
+                p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+                n, d = d, n - a * d
+            k = (limit - q0) // q1
+            ps, qs = p0 + k * p1, q0 + k * q1
+            if abs(p1 * den - num * q1) * qs <= abs(ps * den - num * qs) * q1:
+                cand = Fraction(p1, q1)
+            else:
+                cand = Fraction(ps, qs)
         if not out or cand != out[-1]:
             out.append(cand)
     return out

@@ -1,17 +1,27 @@
 """Operator composition, commutators, gauge conjugation.
 
 The commutator oracle reconstructs an operator's coefficients from its action
-on the monomials x^k (triangular solve), entirely independent of the Leibniz
-bookkeeping inside compose().
+on the monomials x^k (triangular solve), entirely independent of the
+common-denominator bookkeeping inside compose().  Hypothesis tests compare
+compose, commutator and gauge_transform with the per-term Leibniz loop they
+replaced and with sympy, and a golden file pins their exact output.
 """
 
+import itertools
+import json
 import random
-from math import factorial
+from math import comb, factorial
+from pathlib import Path
 
-from heunops.field import fe
+import sympy as sp
+from hypothesis import given, settings, strategies as st
+
+from heunops.field import I, fe
 from heunops.poly import LaurentPolynomial, P_ONE, P_X, Polynomial, poly_x_minus
 from heunops.ratfunc import RF_ONE, RF_ZERO, RationalFunction
 from heunops.diffop import DiffOp, commutator, compose, gauge_transform
+from heunops.semicommute import SemiCommuteSpec, build_q1, build_q2
+from heunops.serialize import encode_diffop
 
 
 def rand_rf(rng, max_deg=2):
@@ -211,3 +221,253 @@ def test_apply_operator():
     want = RationalFunction.from_polynomial(
         Polynomial([fe(2), fe(4), fe(1)]))
     assert got == want
+
+
+# -- exact output of the operator layer ---------------------------------------
+
+def _seeded_operator_triples(seed=0, count=40):
+    """Seeded monic order-2 operators P = d^2 + (n1/D) d + n0/D over a random
+    monic quadratic D shared by both coefficients, with linear numerators,
+    each with a degree-1 and a degree-2 semi-commuting companion."""
+    rng = random.Random(f"operators|{seed}")
+
+    def rational():
+        return fe(rng.randint(-3, 3), rng.randint(1, 4))
+
+    def nonzero():
+        return fe(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+
+    for _ in range(count):
+        den = Polynomial([rational(), rational(), fe(1)])
+        p = DiffOp([RationalFunction(Polynomial([rational(), nonzero()]), den),
+                    RationalFunction(Polynomial([rational(), nonzero()]), den),
+                    fe(1)])
+        q1 = build_q1(p, SemiCommuteSpec(degree=1, beta0=rational(),
+                                         beta1=nonzero()))
+        q2 = build_q2(p, SemiCommuteSpec(degree=2, beta0=rational(),
+                                         beta1=nonzero(), beta2=nonzero()))
+        yield p, q1, q2
+
+
+def _operator_golden_lines(seed=0):
+    """One JSON line per seeded operator: q1∘p, q2∘p, [p, q1] and [p, q2]."""
+    for p, q1, q2 in _seeded_operator_triples(seed):
+        yield json.dumps({
+            "q1_p": encode_diffop(compose(q1, p)),
+            "q2_p": encode_diffop(compose(q2, p)),
+            "p_q1": encode_diffop(commutator(p, q1)),
+            "p_q2": encode_diffop(commutator(p, q2)),
+        }, sort_keys=True)
+
+
+def test_operator_products_match_golden():
+    """Products and commutators, coefficient for coefficient, against
+    tests/data/operators_seed0.jsonl.  Regenerate that file only when a
+    change of exact output is intended, by writing _operator_golden_lines()
+    one per line."""
+    golden = Path(__file__).parent / "data" / "operators_seed0.jsonl"
+    assert list(_operator_golden_lines()) == golden.read_text().splitlines()
+
+
+# -- oracles: the Leibniz loop and sympy ---------------------------------------
+
+def _reference_compose(a, b):
+    """a∘b by the Leibniz rule, one reduced product and one reduced sum per
+    term: the per-term loop compose() replaced."""
+    if a.is_zero or b.is_zero:
+        return DiffOp.zero()
+    derivs = []
+    for c in b.coeffs:
+        row = [c]
+        for _ in range(a.order):
+            row.append(row[-1].derivative())
+        derivs.append(row)
+    out = [RF_ZERO] * (a.order + b.order + 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, row in enumerate(derivs):
+            for m in range(i + 1):
+                out[m + j] = out[m + j] + ai * row[i - m] * fe(comb(i, m))
+    return DiffOp(out)
+
+
+def _reference_gauge(op, g):
+    """sum c_k (d + g')^k through _reference_compose."""
+    shifted = DiffOp([RationalFunction.from_laurent(g.derivative()), RF_ONE])
+    out, power = DiffOp.zero(), DiffOp([RF_ONE])
+    for k, c in enumerate(op.coeffs):
+        if k:
+            power = _reference_compose(power, shifted)
+        out = out + power.scale(c)
+    return out
+
+
+#: The one extension each drawn example works over; None is Q itself.
+_EXTENSIONS = {"Q": None, "Q(i)": I, "Q(sqrt 2)": fe(2).sqrt(),
+               "Q(sqrt -3)": fe(-3).sqrt()}
+
+_X = sp.Symbol("x")
+_F = sp.Function("f")(_X)
+
+
+@st.composite
+def operator_pairs(draw, max_order=3):
+    """Two operators of order 0-3 over one drawn field.  Their denominators
+    are shared by every coefficient or drawn per coefficient, from 1, x,
+    x^2, (x-1)^2 (x+2), a random monic quadratic and x - s for the field's
+    generator s; numerators may be zero or constant."""
+    gen = _EXTENSIONS[draw(st.sampled_from(sorted(_EXTENSIONS)))]
+
+    def rational():
+        return fe(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+
+    def scalar():
+        c = rational()
+        if gen is not None and draw(st.booleans()):
+            c = c + rational() * gen
+        return c
+
+    def den():
+        quadratic = Polynomial([rational(), rational(), 1])
+        choices = [P_ONE, P_X, P_X ** 2,
+                   poly_x_minus(fe(1)) ** 2 * poly_x_minus(fe(-2)),
+                   quadratic]
+        if gen is not None:
+            choices.append(poly_x_minus(gen))
+        return draw(st.sampled_from(choices))
+
+    def operator():
+        shared = den() if draw(st.booleans()) else None
+        order = draw(st.integers(0, max_order))
+        coeffs = []
+        for k in range(order + 1):
+            num = Polynomial([scalar() for _ in range(draw(st.integers(0, 2)))])
+            if k == order and num.is_zero:
+                num = P_ONE
+            coeffs.append(RationalFunction(num, shared or den()))
+        return DiffOp(coeffs)
+
+    return operator(), operator()
+
+
+def _sympy_rational(v):
+    return sp.Rational(int(v.numerator), int(v.denominator))
+
+
+def _to_sympy_scalar(c):
+    out = _sympy_rational(c.ar) + _sympy_rational(c.ai) * sp.I
+    if c.d is not None:
+        out += ((_sympy_rational(c.br) + _sympy_rational(c.bi) * sp.I)
+                * sp.sqrt(_sympy_rational(c.d[0])
+                          + _sympy_rational(c.d[1]) * sp.I))
+    return out
+
+
+def _to_sympy_rf(r):
+    def poly(p):
+        return sum((_to_sympy_scalar(c) * _X ** k
+                    for k, c in enumerate(p.coeffs)), sp.Integer(0))
+
+    return poly(r.num) / poly(r.den)
+
+
+def _sympy_apply(op, expr):
+    return sum((_to_sympy_rf(c) * sp.diff(expr, _X, k)
+                for k, c in enumerate(op.coeffs)), sp.Integer(0))
+
+
+def _sympy_is_zero(expr, order):
+    """Whether an expression linear in f, f', ..., f^(order) vanishes: each
+    coefficient cancels to 0 over the algebraic field its constants span."""
+    ys = sp.symbols(f"y0:{order + 1}")
+    jets = {sp.Derivative(_F, (_X, k)): ys[k] for k in range(1, order + 1)}
+    expr = expr.xreplace(jets).xreplace({_F: ys[0]})
+    return all(sp.cancel(sp.diff(expr, y), extension=True) == 0 for y in ys)
+
+
+class _SympyJets:
+    """Operators applied to a symbolic f in sympy's field of rational
+    functions in x over the constants the operators use.  A jet [c_0, c_1,
+    ...] stands for sum c_k f^(k), and d acts on it as the derivation
+    (c_k f^(k))' = c_k' f^(k) + c_k f^(k+1)."""
+
+    def __init__(self, *ops):
+        exprs = [_to_sympy_rf(c) for op in ops for c in op.coeffs]
+        # sqrt(-3) prints as sqrt(3)*I, so I and each root are generators
+        gens = {a for e in exprs for a in e.atoms(sp.Pow) if a.is_number}
+        if any(e.has(sp.I) for e in exprs):
+            gens.add(sp.I)
+        domain = sp.QQ.algebraic_field(*gens) if gens else sp.QQ
+        self.field, _ = sp.field([_X], domain)
+        self.x = self.field.ring.gens[0]
+
+    def f(self):
+        return [self.field.one]
+
+    def apply(self, op, jet):
+        zero = self.field.zero
+        out = [zero] * (len(jet) + op.order)
+        for k, c in enumerate(op.coeffs):
+            if k:
+                jet = [self._derivative(a) + b
+                       for a, b in zip(jet + [zero], [zero] + jet)]
+            coeff = self.field.from_expr(_to_sympy_rf(c))
+            for t, a in enumerate(jet):
+                out[t] += coeff * a
+        return out
+
+    def _derivative(self, a):
+        n, d = a.numer, a.denom
+        return self.field(n.diff(self.x) * d - n * d.diff(self.x)) \
+            / self.field(d * d)
+
+    def same(self, jet_a, jet_b):
+        zero = self.field.zero
+        return all(a == b for a, b in
+                   itertools.zip_longest(jet_a, jet_b, fillvalue=zero))
+
+
+_DIFFOP_ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@_DIFFOP_ORACLE
+@given(pair=operator_pairs())
+def test_compose_and_commutator_match_the_leibniz_loop(pair):
+    a, b = pair
+    ab, ba = _reference_compose(a, b), _reference_compose(b, a)
+    assert compose(a, b) == ab
+    assert compose(b, a) == ba
+    assert commutator(a, b) == ab - ba
+
+
+@settings(_DIFFOP_ORACLE, max_examples=30)
+@given(pair=operator_pairs())
+def test_compose_and_commutator_match_sympy(pair):
+    a, b = pair
+    jets = _SympyJets(a, b)
+    ab = jets.apply(a, jets.apply(b, jets.f()))
+    ba = jets.apply(b, jets.apply(a, jets.f()))
+    assert jets.same(jets.apply(compose(a, b), jets.f()), ab)
+    assert jets.same(jets.apply(commutator(a, b), jets.f()),
+                     [x - y for x, y in zip(ab, ba)])
+
+
+@st.composite
+def gauge_cases(draw):
+    op, _ = draw(operator_pairs())
+    g = LaurentPolynomial({k: fe(draw(st.integers(-2, 2)),
+                                 draw(st.integers(1, 3)))
+                           for k in draw(st.sets(st.integers(-2, 3),
+                                                 max_size=3))})
+    return op, g
+
+
+@settings(_DIFFOP_ORACLE, max_examples=60)
+@given(case=gauge_cases())
+def test_gauge_transform_matches_the_reference_and_sympy(case):
+    op, g = case
+    got = gauge_transform(op, g)
+    assert got == _reference_gauge(op, g)
+    g_expr = sum((_to_sympy_scalar(v) * _X ** k for k, v in g.terms.items()),
+                 sp.Integer(0))
+    conjugated = sp.exp(-g_expr) * _sympy_apply(op, sp.exp(g_expr) * _F)
+    assert _sympy_is_zero(conjugated - _sympy_apply(got, _F), op.order)

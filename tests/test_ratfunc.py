@@ -1,6 +1,7 @@
 """Rational-function arithmetic, partial fractions, antiderivatives, roots."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,6 +202,50 @@ def test_subst_inverse():
     g = f.subst_inverse()  # 1/(1/x - 2) = x/(1-2x)
     x = 0.37
     assert abs(g.eval_complex(x) - 1 / (1 / x - 2)) < 1e-12
+
+
+# -- rational reconstruction against the limit_denominator loop --------------
+
+def _reference_reconstruct_rational(value):
+    """One Fraction.limit_denominator call per denominator limit."""
+    out = []
+    frac = Fraction(value)
+    for limit in (1, 2, 4, 8, 16, 64, 4096, 10 ** 6, 10 ** 9):
+        cand = frac.limit_denominator(limit)
+        if not out or cand != out[-1]:
+            out.append(cand)
+    return out
+
+
+@st.composite
+def reconstruction_inputs(draw):
+    """Random floats, exact dyadics (where limit_denominator's two distances
+    can tie), 0, and values within 1e-9 of a small k/q, of either sign."""
+    kind = draw(st.sampled_from(("float", "dyadic", "zero", "near")))
+    if kind == "float":
+        return draw(st.floats(-1e6, 1e6, allow_nan=False))
+    if kind == "dyadic":
+        return draw(st.integers(-4096, 4096)) / 2 ** draw(st.integers(0, 40))
+    if kind == "zero":
+        return 0.0
+    k, q = draw(st.integers(-200, 200)), draw(st.integers(1, 5000))
+    return k / q + draw(st.floats(-1e-9, 1e-9, allow_nan=False))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(value=reconstruction_inputs())
+def test_reconstruct_rational_matches_limit_denominator(value):
+    got = _reconstruct_rational(value)
+    want = _reference_reconstruct_rational(value)
+    assert got == want
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_reconstruct_rational_tie_keeps_the_convergent():
+    # k + 1/2 lies as far from k as from k + 1; limit_denominator(1)
+    # returns the convergent floor(k + 1/2)
+    assert _reconstruct_rational(0.5) == [Fraction(0), Fraction(1, 2)]
+    assert _reconstruct_rational(-2.5) == [Fraction(-3), Fraction(-5, 2)]
 
 
 # -- poly_roots against the candidate loop it replaced ------------------------
