@@ -20,7 +20,6 @@ is introduced and consumed within a single verification context.
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 
 # mpq does the same job as fractions.Fraction but is several times faster;
@@ -42,33 +41,8 @@ class ExtensionMismatchError(ArithmeticError):
 def _isqrt_exact(n: int) -> int | None:
     if n < 0:
         return None
-    r = math.isqrt(n)
+    r = __import__("math").isqrt(n)
     return r if r * r == n else None
-
-
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """(s, r) with n = s^2 * r, s > 0 and r squarefree of the sign of n.
-
-    Trial division removes every prime p with p^3 <= the cofactor; what is
-    left then has at most two prime factors, so it is 1, a prime, a product
-    of two primes or a prime square.
-    """
-    m, s, r, p = abs(n), 1, 1, 2
-    while p * p * p <= m:
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        s *= p ** (e // 2)
-        if e % 2:
-            r *= p
-        p += 1 if p == 2 else 2
-    t = math.isqrt(m)
-    if t * t == m:
-        s *= t
-    else:
-        r *= m
-    return s, r if n > 0 else -r
 
 
 def rational_sqrt(q) -> "Q | None":
@@ -339,21 +313,13 @@ class FieldElement:
         """Exact square root, extending the field when necessary.
 
         Only base-field elements can be rooted; a nested extension would need
-        a second sqrt level, which no verification context requires.  The
-        root of a rational n/m is (s/m) sqrt(r) with n*m = s^2 r and r a
-        squarefree integer, so every spelling of one root shares its
-        radicand; r keeps the sign of n, and s/m > 0 keeps the principal
-        branch.  A Gaussian radicand is stored as given.
+        a second sqrt level, which no verification context requires.
         """
         if self.d is not None:
             raise ExtensionMismatchError("sqrt of an extension element")
         root = _complex_sqrt_exact(self.ar, self.ai)
         if root is not None:
             return FieldElement._mk(root[0], root[1], _Q0, _Q0, None)
-        if not self.ai:
-            n, m = int(self.ar.numerator), int(self.ar.denominator)
-            s, r = _squarefree_split(n * m)
-            return FieldElement._mk(_Q0, _Q0, Q(s, m), _Q0, (Q(r), _Q0))
         return FieldElement._mk(_Q0, _Q0, _Q1, _Q0, (self.ar, self.ai))
 
     # -- comparisons / hashing ----------------------------------------------

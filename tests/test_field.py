@@ -74,21 +74,6 @@ def test_sqrt_extension_squares_back():
         assert root * root == value
 
 
-def test_sqrt_of_a_rational_has_a_canonical_radicand():
-    """A rational radicand is stored as the squarefree integer part of n*m,
-    sign kept, so two spellings of one root are equal and combine."""
-    assert fe(20, 9).sqrt() == fe(5).sqrt() * fe(2, 3)
-    assert (fe(8).sqrt() - 2 * fe(2).sqrt()).is_zero
-    assert fe(-12).sqrt() == fe(-3).sqrt() * 2
-    assert fe(1, 2).sqrt() == fe(2).sqrt() * fe(1, 2)
-    for value in (fe(20, 9), fe(-18, 5), fe(1, 2), fe(-7)):
-        root = value.sqrt()
-        assert root * root == value
-        assert root.d[0].denominator == 1 and root.d[1] == 0
-        # the principal branch, as before
-        assert abs(root.to_complex() - complex(value.ar) ** 0.5) < 1e-12
-
-
 def test_extension_mismatch_rejected():
     r2 = fe(2).sqrt()
     r3 = fe(3).sqrt()
