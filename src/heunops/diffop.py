@@ -122,7 +122,8 @@ class DiffOp:
         """Operator product self∘other (apply other first)."""
         if self.is_zero or other.is_zero:
             return DiffOp.zero()
-        nums, den = _product(_over_one_den(self), _over_one_den(other))
+        nums, den = _product(over_common_denominator(self),
+                             over_common_denominator(other))
         return DiffOp._raw([RationalFunction(num, den) for num in nums])
 
     def apply(self, f: RationalFunction) -> RationalFunction:
@@ -182,7 +183,7 @@ def _join(a: Polynomial, b: Polynomial) -> Polynomial:
     return a * (b // a.gcd(b))
 
 
-def _over_one_den(op: DiffOp):
+def over_common_denominator(op: DiffOp):
     """(numerators, den): op's coefficients over the lcm of their
     denominators."""
     den = P_ONE
@@ -249,7 +250,7 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b] = a∘b - b∘a, both products subtracted before reduction."""
     if a.is_zero or b.is_zero:
         return DiffOp.zero()
-    fa, fb = _over_one_den(a), _over_one_den(b)
+    fa, fb = over_common_denominator(a), over_common_denominator(b)
     (x, ex), (y, ey) = _product(fa, fb), _product(fb, fa)
     den = _join(ex, ey)
     if den != ex:

@@ -157,14 +157,7 @@ def classify_singularities(op: DiffOp):
             f"singular points not resolvable in the active field: {numeric}")
     out = []
     for point, _mult in sorted(exact, key=lambda t: str(t[0])):
-        o1 = pole_order(p1, point)
-        o0 = pole_order(p0, point)
-        if o1 == 0 and o0 == 0:
-            kind = ORDINARY
-        elif o1 <= 1 and o0 <= 2:
-            kind = REGULAR_SINGULAR
-        else:
-            kind = IRREGULAR_SINGULAR
+        kind = _fuchs_kind(p1, p0, point)
         if kind != ORDINARY:
             out.append((point, kind))
     # pullback to t = 1/x
@@ -172,13 +165,13 @@ def classify_singularities(op: DiffOp):
     p1_inf = (RationalFunction(Polynomial.constant(fe(2)), t)
               - p1.subst_inverse() / RationalFunction.from_polynomial(t * t))
     p0_inf = p0.subst_inverse() / RationalFunction.from_polynomial(t ** 4)
-    o1 = pole_order(p1_inf, ZERO)
-    o0 = pole_order(p0_inf, ZERO)
-    if o1 == 0 and o0 == 0:
-        kind = ORDINARY
-    elif o1 <= 1 and o0 <= 2:
-        kind = REGULAR_SINGULAR
-    else:
-        kind = IRREGULAR_SINGULAR
-    out.append((INFINITY, kind))
+    out.append((INFINITY, _fuchs_kind(p1_inf, p0_inf, ZERO)))
     return out
+
+
+def _fuchs_kind(p1: RationalFunction, p0: RationalFunction, point) -> str:
+    """The kind of point for d^2 + p1 d + p0, from the pole orders there."""
+    o1, o0 = pole_order(p1, point), pole_order(p0, point)
+    if o1 == 0 and o0 == 0:
+        return ORDINARY
+    return REGULAR_SINGULAR if o1 <= 1 and o0 <= 2 else IRREGULAR_SINGULAR

@@ -10,7 +10,9 @@ polynomial that such a kernel returns keeps that integer form as its value:
 degree, equality, sums, rational scaling and the next kernel read the form,
 and the FieldElement coefficient tuple is built only when something asks for
 `coeffs`.  Gaussian operands, a non-real d and mixed radicands take the
-FieldElement loops, as do division and gcds over any extension.
+FieldElement loops, as do division and gcds over any extension.  No other
+module reads the integer form: they go through eval, vanishes_at and the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -290,6 +292,15 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def vanishes_at(self, x: FieldElement) -> bool:
+        """Whether p(x) = 0.  For rational p and x = u/v in lowest terms, v
+        must divide p's leading integer entry (rational root theorem); eval
+        runs over the integers too."""
+        form = self._int_form()
+        if form and x.is_rational and form[0][-1] % x.ar.denominator:
+            return False
+        return self.eval(x).is_zero
 
     def eval_complex(self, x: complex) -> complex:
         acc = 0j

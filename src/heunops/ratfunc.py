@@ -483,16 +483,6 @@ def _reconstruct_rational(value: float) -> list:
 ROOT_WINDOW = 1e-6
 
 
-def _vanishes_at(p: Polynomial, x: FieldElement) -> bool:
-    """Whether p(x) = 0.  For rational p and x = u/v in lowest terms, v must
-    divide p's leading integer entry (rational root theorem); p.eval runs
-    over the integers too."""
-    form = p._int_form()
-    if form and x.is_rational and form[0][-1] % x.ar.denominator:
-        return False
-    return p.eval(x).is_zero
-
-
 def _exact_root_near(p: Polynomial, z, found: list):
     """The first small-denominator Gaussian rational within ROOT_WINDOW of
     the numeric root z, not in found, at which p vanishes, or None.  Each
@@ -505,7 +495,7 @@ def _exact_root_near(p: Polynomial, z, found: list):
                 continue
             cand = FieldElement.make(Q(re.numerator, re.denominator),
                                      Q(im.numerator, im.denominator))
-            if cand not in found and _vanishes_at(p, cand):
+            if cand not in found and p.vanishes_at(cand):
                 return cand
     return None
 
@@ -531,7 +521,7 @@ def poly_roots(p: Polynomial):
             continue
         lin = poly_x_minus(cand)
         remaining, mult = remaining // lin, 1
-        while remaining.degree >= 1 and _vanishes_at(remaining, cand):
+        while remaining.degree >= 1 and remaining.vanishes_at(cand):
             remaining = remaining // lin
             mult += 1
         exact.append((cand, mult))

@@ -23,15 +23,14 @@ rational points of a circle (Pythagorean parametrization, so the points have
 radius exactly r) and measures magnitudes with mpmath, so residuals far below
 double precision remain meaningful and the N -> residual decay is monotone.
 The j-th derivative needs the weights c_k * (rho+k)(rho+k-1)... (j
-factors); each solution builds these rows once, row j from row j-1, and
-caches them.  When rho and the c_k are rational, a row is a list of Python
-ints over one denominator, and at a Gaussian rational point it is evaluated
-by Horner's rule over Gaussian integers; any other row or point (Gaussian or
-Q(sqrt d) data) takes a FieldElement Horner loop.  Every value is exact
-either way.  series_residuals checks several solutions at one expansion
-point and shares the radius guard and the operator's values at each point
-(Polynomial.eval runs the same Gaussian-integer Horner rule on rational
-coefficients).
+factors).  Each solution builds these rows once, as Polynomials in t, and
+caches them: row j is (rho-j+1) * row_{j-1} + t * row_{j-1}'.  A row is
+evaluated by Polynomial.eval, exactly: by Horner's rule over Gaussian
+integers for a rational row at a Gaussian rational point, by a FieldElement
+loop otherwise.
+
+series_residuals checks several solutions at one expansion point and shares
+the radius guard and the operator's values at each point.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ from dataclasses import dataclass, field
 
 import mpmath
 
-from .field import FieldElement, ONE, ZERO, Q
-from .diffop import DiffOp
-from .poly import Polynomial, _gaussian_horner, _gaussian_parts
+from .field import FieldElement, ONE, ZERO, Q, quadratic_roots
+from .diffop import DiffOp, over_common_denominator
+from .poly import P_X, Polynomial
 
 
 class IrregularSingularPointError(ValueError):
@@ -69,66 +68,35 @@ class FrobeniusSolution:
         return FrobeniusSolution(self.x0, self.rho, self.coeffs[:n + 1], n)
 
     def _weight_rows(self, max_order: int) -> list:
-        """Rows j = 0..max_order of the weights c_k * (rho+k)(rho+k-1)...
-        (j factors), row j built from row j-1 with one product per entry.
-
-        A row is (ints, den) over Python ints when rho and every c_k are
-        rational, else a list of FieldElements.
-        """
+        """Rows j = 0..max_order: the Polynomials sum_k c_k *
+        (rho+k)(rho+k-1)... (j factors) * t^k.  Row j is
+        (rho-j+1) * row_{j-1} + t * row_{j-1}'."""
         rows = self._rows
         if not rows:
-            form = (Polynomial(self.coeffs)._int_form()
-                    if self.rho.is_rational else False)
-            rows.append(form or list(self.coeffs))
+            rows.append(Polynomial(self.coeffs))
         while len(rows) <= max_order:
-            shift = self.rho - (len(rows) - 1)  # factor rho + k - (j-1)
             prev = rows[-1]
-            if isinstance(prev, tuple):
-                a, b = shift.ar.numerator, shift.ar.denominator
-                rows.append(([x * (a + k * b) for k, x in enumerate(prev[0])],
-                             prev[1] * b))
-            else:
-                rows.append([c * (shift + k) for k, c in enumerate(prev)])
+            rows.append(prev.scale(self.rho - (len(rows) - 1))
+                        + P_X * prev.derivative())
         return rows
 
     def derivative_values(self, t: FieldElement, max_order: int):
         """Exact values of S^(j)(x0 + t) / t^(rho - j) for j = 0..max_order.
 
         Dividing out the common power keeps everything in the field; the
-        caller reattaches |t^(rho-j)| numerically.  Row j is evaluated at t
-        by Horner's rule; for rational rows and a Gaussian rational t the
-        rule runs over Gaussian integers on one common denominator.
+        caller reattaches |t^(rho-j)| numerically.  The value for j is
+        weight row j at t.
         """
-        if t.d is None:
-            point = _gaussian_parts(t.ar, t.ai)
-        out = []
-        for row in self._weight_rows(max_order)[:max_order + 1]:
-            if isinstance(row, tuple):
-                if t.d is None:
-                    out.append(_gaussian_horner(*row, *point))
-                    continue
-                row = [FieldElement.from_rational(x, row[1]) for x in row[0]]
-            acc = ZERO
-            for c in reversed(row):
-                acc = acc * t + c
-            out.append(acc)
-        return out
+        return [row.eval(t)
+                for row in self._weight_rows(max_order)[:max_order + 1]]
 
 
 def _cleared_local_data(op: DiffOp, x0: FieldElement):
     """Shifted polynomial coefficients (A2, A1, A0) with denominators cleared."""
     if op.order != 2:
         raise ValueError("series machinery expects an order-2 operator")
-    a2, a1, a0 = op.coeff(2), op.coeff(1), op.coeff(0)
-    den = a2.den
-    for c in (a1, a0):
-        g = den.gcd(c.den)
-        den = (den * c.den) // g if g.degree >= 0 else den * c.den
-    polys = []
-    for c in (a2, a1, a0):
-        cleared = c.num * (den // c.den)
-        polys.append(cleared.shift(x0))
-    return polys
+    nums, _ = over_common_denominator(op)
+    return [num.shift(x0) for num in reversed(nums)]
 
 
 def _w_coeff(polys, j: int):
@@ -162,10 +130,7 @@ def indicial_roots(op: DiffOp, x0: FieldElement):
             f"irregular singular point at {x0}: indicial polynomial "
             "degenerates below degree 2")
     # c2*L^2 + (c1 - c2)*L + c0
-    disc = (c1 - c2) * (c1 - c2) - 4 * c2 * c0
-    root = disc.sqrt()
-    two = 2 * c2
-    return ((-(c1 - c2) + root) / two, (-(c1 - c2) - root) / two)
+    return quadratic_roots(c2, c1 - c2, c0)
 
 
 def frobenius_series(op: DiffOp, x0, rho, n: int) -> FrobeniusSolution:
@@ -253,11 +218,7 @@ def _nearest_pole_distance(op: DiffOp, x0: FieldElement) -> float | None:
             dens.append(c.den)
     for den in dens:
         exact, numeric = poly_roots(den)
-        for root, _m in exact:
-            dist = abs(root.to_complex() - x0c)
-            if dist > 1e-12 and (best is None or dist < best):
-                best = dist
-        for root in numeric:
+        for root in [r.to_complex() for r, _m in exact] + numeric:
             dist = abs(root - x0c)
             if dist > 1e-12 and (best is None or dist < best):
                 best = dist

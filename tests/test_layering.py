@@ -1,0 +1,52 @@
+"""Only poly.py knows the integer form of a Polynomial.
+
+The form (its slot, the accessors and the kernels that build it or run on
+it) is private to heunops.poly; every other module goes through the public
+Polynomial API (eval, vanishes_at, arithmetic), so the form can change in
+one place.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "heunops"
+
+PRIVATE = {"_ints", "_form", "_int_form", "_from_form", "_gaussian_horner",
+           "_gaussian_parts"}
+
+
+def _names(tree):
+    """Every identifier a module spells: names, attributes, imports,
+    definitions, arguments and keywords."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+
+
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def test_the_package_sources_are_found():
+    assert SRC / "poly.py" in MODULES and len(MODULES) > 1
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"],
+                         ids=lambda p: p.name)
+def test_integer_form_stays_in_poly(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert sorted(PRIVATE.intersection(_names(tree))) == []

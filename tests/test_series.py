@@ -10,6 +10,8 @@ from heunops.field import FieldElement, fe, Q, ONE, ZERO
 from heunops.diffop import DiffOp, compose
 from heunops.exprs import eval_scalar
 from heunops.families import FAMILIES
+from heunops.poly import Polynomial
+from heunops.ratfunc import RationalFunction
 from heunops.series import (FrobeniusSolution, IrregularSingularPointError,
                             ResonanceError, circle_points, frobenius_series,
                             indicial_roots, series_residual, series_residuals)
@@ -237,11 +239,56 @@ def test_derivative_values_integer_path_at_catalog_shape():
     for t in circle_points(Q(1, 10), 8):
         assert sol.derivative_values(t, 4) == \
             _reference_derivative_values(sol, t, 4)
-    assert all(isinstance(row, tuple) for row in sol._weight_rows(4))
+    # every row stays on the integer path: a rational integer form
+    assert all(row._int_form() for row in sol._weight_rows(4))
     half = frobenius_series(p, ZERO, fe(1, 2), 12)
     for t in circle_points(Q(1, 7), 3):
         assert half.derivative_values(t, 3) == \
             _reference_derivative_values(half, t, 3)
+
+
+# -- frobenius_series against the hypergeometric closed form -------------------
+
+def _sp_gaussian(c):
+    assert c.d is None
+    return (sp.Rational(int(c.ar.numerator), int(c.ar.denominator))
+            + sp.I * sp.Rational(int(c.ai.numerator), int(c.ai.denominator)))
+
+
+def _hypergeometric_coeffs(a, b, c, n):
+    """(a)_k (b)_k / ((c)_k k!) for k = 0..n, by sympy's rising factorial."""
+    a, b, c = map(_sp_gaussian, (a, b, c))
+    return [sp.rf(a, k) * sp.rf(b, k) / (sp.rf(c, k) * sp.factorial(k))
+            for k in range(n + 1)]
+
+
+@st.composite
+def _hypergeometric_params(draw):
+    kind = draw(st.sampled_from(["rational", "gaussian"]))
+    a, b = draw(_scalars(kind, None)), draw(_scalars(kind, None))
+    c = draw(_scalars(kind, None).filter(
+        lambda c: not (c.is_rational and c.ar.denominator == 1)))
+    return a, b, c
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(params=_hypergeometric_params())
+def test_frobenius_matches_hypergeometric_coefficients(backend, params):
+    # d^2 + (c - (a+b+1)x)/(x(1-x)) d - ab/(x(1-x)) at x0 = 0: exponents 0
+    # and 1-c, and with c not an integer neither recurrence is resonant
+    a, b, c = params
+    x1mx = Polynomial([ZERO, ONE, -ONE])
+    op = DiffOp([RationalFunction(Polynomial([-(a * b)]), x1mx),
+                 RationalFunction(Polynomial([c, -(a + b + 1)]), x1mx),
+                 ONE])
+    n = 8
+    for rho, abc in ((ZERO, (a, b, c)),
+                     (1 - c, (a - c + 1, b - c + 1, 2 - c))):
+        got = frobenius_series(op, ZERO, rho, n).coeffs
+        want = _hypergeometric_coeffs(*abc, n)
+        assert all(sp.expand(_sp_gaussian(x) - y) == 0
+                   for x, y in zip(got, want, strict=True))
 
 
 def _series_records():
