@@ -18,16 +18,20 @@ so one gcd serves the whole derivative table, and coefficient k of A∘B is
     sum C(i, m) â_i N_{j,i-m} u^(n-(i-m))  over  e d u^n,   m + j = k,
 
 with n = ord A and N_{j,t} the numerator of the t-th derivative of b_j.
-Each output coefficient is reduced once.  The commutator subtracts its two
-unreduced products over the lcm of their denominators, so a coefficient that
-cancels costs no gcd at all.
+Each step of the derivative table and each output coefficient is one
+poly.dot, which sums the products on integer lists when the operands are
+rational, and each output coefficient is reduced once.  The commutator
+subtracts its two unreduced products over the lcm of their denominators, so
+a coefficient that cancels costs no gcd at all.  gauge_transform brings op
+and the powers (d + g')^k over common denominators the same way, so each of
+its coefficients is one dot and one reduction too.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .poly import LaurentPolynomial, P_ONE, P_ZERO, Polynomial
+from .poly import LaurentPolynomial, P_ONE, Polynomial, dot
 from .ratfunc import RF_ONE, RF_ZERO, RationalFunction
 
 
@@ -219,27 +223,27 @@ def _product(a, b):
             for t in range(n):
                 num = num.derivative()
                 if u is not P_ONE:
-                    num = num * u - row[-1] * (v + up * t)
+                    num = dot([(1, num, u), (-1, row[-1], v),
+                               (-t, row[-1], up)])
                 row.append(num)
         table.append(row)
     powers = [P_ONE]
     if u is not P_ONE:
         for _ in range(n):
             powers.append(powers[-1] * u)
-    out = [P_ZERO] * (n + len(bn))
+    # terms[k]: the (C(i, t), â_i u^(n-t), N_{j,t}) triples of coefficient k
+    terms = [[] for _ in range(n + len(bn))]
     for i, num in enumerate(an):
         if num.is_zero:
             continue
         for t in range(i + 1):
             # a_i's share of every term that takes t derivatives of b
             c = comb(i, t)
-            w = num if c == 1 else num * c
-            if u is not P_ONE and t < n:
-                w = w * powers[n - t]
+            w = num * powers[n - t] if u is not P_ONE and t < n else num
             for j, row in enumerate(table):
                 if t < len(row):
-                    out[i - t + j] = out[i - t + j] + w * row[t]
-    return out, e if u is P_ONE else e * d * powers[n]
+                    terms[i - t + j].append((c, w, row[t]))
+    return [dot(ts) for ts in terms], e if u is P_ONE else e * d * powers[n]
 
 
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
@@ -267,15 +271,28 @@ def gauge_transform(op: DiffOp, g: LaurentPolynomial) -> DiffOp:
 
     Since e^{-g} d e^{g} = d + g' and conjugation is an algebra morphism, the
     result is sum_k c_k (d + g')^k; one code path covers every exponent shape
-    (A*x, x^3/3 - sigma*x, nu/x, ...).
+    (A*x, x^3/3 - sigma*x, nu/x, ...).  With op = (sum â_k d^k)/e and every
+    power brought over the lcm D of their denominators, coefficient j is
+    sum â_k P_{k,j} over e D, one dot and one reduction.
     """
-    shift_rf = RationalFunction.from_laurent(g.derivative())
-    conjugated_d = DiffOp([shift_rf, RF_ONE])
-    out = DiffOp.zero()
-    power = DiffOp([RF_ONE])
-    for k, c in enumerate(op.coeffs):
-        if k > 0:
+    nums, e = over_common_denominator(op)
+    conjugated_d = DiffOp([RationalFunction.from_laurent(g.derivative()),
+                           RF_ONE])
+    # (numerators, den) of (d + g')^k, from the identity up
+    powers = [([P_ONE], P_ONE)]
+    power = conjugated_d
+    for k in range(1, len(nums)):
+        if k > 1:
             power = power.compose(conjugated_d)
-        if not c.is_zero:
-            out = out + power.scale(c)
-    return out
+        powers.append(over_common_denominator(power))
+    den = P_ONE
+    for _, pd in powers:
+        den = _join(den, pd)
+    terms = [[] for _ in nums]
+    for num, (pn, pd) in zip(nums, powers):
+        if not num.is_zero:
+            m = None if pd == den else den // pd
+            for j, p in enumerate(pn):
+                terms[j].append((1, num, p if m is None else p * m))
+    e = e * den
+    return DiffOp._raw([RationalFunction(dot(ts), e) for ts in terms])

@@ -170,10 +170,6 @@ class FieldElement:
     def is_rational(self) -> bool:
         return self.d is None and self.ai == 0
 
-    @property
-    def is_gaussian(self) -> bool:
-        return self.d is None
-
     def is_integer(self) -> bool:
         return self.is_rational and self.ar.denominator == 1
 

@@ -10,9 +10,11 @@ polynomial that such a kernel returns keeps that integer form as its value:
 degree, equality, sums, rational scaling and the next kernel read the form,
 and the FieldElement coefficient tuple is built only when something asks for
 `coeffs`.  Gaussian operands, a non-real d and mixed radicands take the
-FieldElement loops, as do division and gcds over any extension.  No other
-module reads the integer form: they go through eval, vanishes_at and the
-arithmetic.
+FieldElement loops, as do division and gcds over any extension.  dot, the
+sum of products c*a*b that operator products are made of, accumulates
+rational operands on one integer list over one denominator.  No other
+module reads the integer form: they go through eval, vanishes_at, dot and
+the arithmetic.
 """
 
 from __future__ import annotations
@@ -294,12 +296,15 @@ class Polynomial:
         return acc
 
     def vanishes_at(self, x: FieldElement) -> bool:
-        """Whether p(x) = 0.  For rational p and x = u/v in lowest terms, v
-        must divide p's leading integer entry (rational root theorem); eval
-        runs over the integers too."""
-        form = self._int_form()
-        if form and x.is_rational and form[0][-1] % x.ar.denominator:
-            return False
+        """Whether p(x) = 0.  For rational p with leading integer entry L and
+        x in Q(i), a root makes L*x an algebraic integer, so L*x lies in Z[i]
+        and the denominators of both parts of x divide L (the rational root
+        theorem over Z[i]); eval runs over the integers too."""
+        form = self._int_form() if x.d is None else False
+        if form and form[0]:
+            lead = form[0][-1]
+            if lead % x.ar.denominator or lead % x.ai.denominator:
+                return False
         return self.eval(x).is_zero
 
     def eval_complex(self, x: complex) -> complex:
@@ -358,6 +363,35 @@ P_X = Polynomial.monomial(1)
 
 def poly_x_minus(c) -> Polynomial:
     return Polynomial([-_coerce_fe(c), ONE])
+
+
+def dot(terms) -> Polynomial:
+    """The polynomial sum c*a*b over a sequence of (c, a, b) triples, each c
+    an int.  When every operand is rational, the products accumulate on one
+    integer list over the lcm of their denominators, and the result holds
+    only that integer form; any other operand takes Polynomial arithmetic."""
+    forms = []
+    for c, a, b in terms:
+        fa, fb = a._int_form(), b._int_form()
+        if not (fa and fb):
+            acc = P_ZERO
+            for c, a, b in terms:
+                acc = acc + a * b * c
+            return acc
+        if c and fa[0] and fb[0]:
+            forms.append((c, fa, fb))
+    if not forms:
+        return P_ZERO
+    den = math.lcm(*(fa[1] * fb[1] for _, fa, fb in forms))
+    out = [0] * (max(len(fa[0]) + len(fb[0]) for _, fa, fb in forms) - 1)
+    for c, (a, da), (b, db) in forms:
+        m = c * (den // (da * db))
+        for i, x in enumerate(a):
+            if x:
+                x *= m
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+    return _from_form((out, den))
 
 
 # Integer kernels.  Integer polynomials are lists of Python ints, ascending

@@ -95,11 +95,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
-    def to_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
     def is_constant(self) -> bool:
         return self.is_polynomial() and self.num.is_constant()
 

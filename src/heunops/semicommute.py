@@ -65,11 +65,6 @@ class SemiCommuteSpec:
             b2 = self.beta2 if self.beta2 is not None else ZERO
             object.__setattr__(self, "beta2", FieldElement._coerce(b2))
 
-    @property
-    def degenerate(self) -> bool:
-        """Degree-2 spec whose leading constant vanishes (order drops)."""
-        return self.degree == 2 and self.beta2.is_zero
-
 
 @dataclass(frozen=True)
 class ResidualReport:

@@ -2,8 +2,10 @@
 
 The form (its slot, the accessors and the kernels that build it or run on
 it) is private to heunops.poly; every other module goes through the public
-Polynomial API (eval, vanishes_at, arithmetic), so the form can change in
-one place.
+API (eval, vanishes_at, dot, arithmetic), so the form can change in one
+place.  The private names are read off poly.py itself: its slot and
+accessors, and every module-level function whose name starts with an
+underscore, so a new kernel is covered as soon as it is written.
 """
 
 import ast
@@ -13,8 +15,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heunops"
 
-PRIVATE = {"_ints", "_form", "_int_form", "_from_form", "_gaussian_horner",
-           "_gaussian_parts"}
+POLY = ast.parse((SRC / "poly.py").read_text(encoding="utf-8"))
+
+PRIVATE = {"_ints", "_form", "_int_form"} | {
+    node.name for node in POLY.body
+    if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
 
 
 def _names(tree):
@@ -43,6 +48,9 @@ MODULES = sorted(SRC.glob("*.py"))
 
 def test_the_package_sources_are_found():
     assert SRC / "poly.py" in MODULES and len(MODULES) > 1
+    # the kernels are found by name, the slot and accessors by hand
+    assert {"_from_form", "_convolve", "_gaussian_horner",
+            "_rational_gcd"} <= PRIVATE
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"],

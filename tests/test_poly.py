@@ -544,6 +544,107 @@ def test_integer_forms_agree_with_coefficients(backend, data):
         assert to_sympy(g, sp.QQ) == sympy_gcd(a, b, sp.QQ)
 
 
+# -- the sum-of-products kernel -------------------------------------------------
+
+_DOT_SCALARS = {"rational": rationals, "gaussian": gaussians,
+                "sqrt2": sqrt2_elements}
+
+
+@st.composite
+def dot_terms(draw, kind):
+    """(c, a, b) triples for dot, with operands of different lengths, zero
+    operands and zero c among them.  An operand may be negated (a negative
+    form denominator) or a product (a kernel result holding only its form).
+    The "mixed" terms are rational but for one operand over Q(i) or
+    Q(sqrt 2)."""
+    def operand(scalars):
+        p = Polynomial(draw(st.lists(scalars(), max_size=5)))
+        shape = draw(st.integers(0, 3))
+        if shape == 1:
+            p = -p
+        elif shape == 2:
+            p = p * Polynomial([draw(scalars()), draw(scalars())])
+        return p
+
+    scalars = _DOT_SCALARS.get(kind, rationals)
+    terms = [(draw(st.integers(-4, 4)), operand(scalars), operand(scalars))
+             for _ in range(draw(st.integers(0, 5)))]
+    if kind == "mixed":
+        other = operand(draw(st.sampled_from([gaussians, sqrt2_elements])))
+        a = operand(rationals)
+        term = (draw(st.integers(-4, 4)),
+                *((a, other) if draw(st.booleans()) else (other, a)))
+        terms.insert(draw(st.integers(0, len(terms))), term)
+    return terms
+
+
+def schoolbook_dot(terms):
+    """sum c*a*b over the coefficient field, term by term."""
+    out = []
+    for c, a, b in terms:
+        ab = schoolbook_mul(a, b).coeffs
+        out += [ZERO] * (len(ab) - len(out))
+        for k, x in enumerate(ab):
+            out[k] = out[k] + x * fe(c)
+    return Polynomial(out)
+
+
+@pytest.mark.parametrize("kind", ["rational", "gaussian", "sqrt2", "mixed"])
+@settings(_ORACLE_SETTINGS, max_examples=60)
+@given(data=st.data())
+def test_dot_matches_the_sum_of_products(backend, kind, data):
+    terms = data.draw(dot_terms(kind))
+    got = poly.dot(terms)
+    if kind == "rational" and any(c and not (a.is_zero or b.is_zero)
+                                  for c, a, b in terms):
+        # the integer accumulation ran: the result holds only its form
+        assert got._coeffs is None and len(got._ints) == 2
+    assert got.coeffs == schoolbook_dot(terms).coeffs
+    total = Polynomial()
+    for c, a, b in terms:
+        total = total + (a * b) * c
+    assert got == total
+    _assert_integer_form(got)
+
+
+def test_dot_edge_cases(backend):
+    a = Polynomial([fe(1, 2), fe(-3), fe(2, 5)])
+    b = Polynomial([fe(4, 3)])
+    long = Polynomial([fe(1), fe(0), fe(0), fe(0), fe(-1, 7)])
+    assert poly.dot([]).is_zero
+    assert poly.dot([(0, a, b), (2, a, Polynomial()),
+                     (-1, Polynomial(), long)]).is_zero
+    assert poly.dot([(1, a, b), (1, -a, b)]).is_zero
+    assert poly.dot([(2, -a, b), (-1, a, -b)]) == -(a * b)
+    got = poly.dot([(3, a, b), (1, long, a), (0, long, long)])
+    assert got == schoolbook_dot([(3, a, b), (1, long, a)])
+    assert got.degree == 6 and got._coeffs is None
+    # a Gaussian operand anywhere in the list takes Polynomial arithmetic
+    g = Polynomial([FieldElement.make(1, 2), fe(1)])
+    assert poly.dot([(3, a, b), (1, g, a)]) == schoolbook_dot(
+        [(3, a, b), (1, g, a)])
+
+
+# -- vanishes_at: the rational root theorem over Z[i] ---------------------------
+
+
+@_ORACLE_SETTINGS
+@given(data=st.data())
+def test_vanishes_at_matches_eval_at_gaussian_points(backend, data):
+    r = data.draw(gaussians())
+    r_bar = FieldElement.make(r.ar, -r.ai)
+    q = Polynomial(data.draw(st.lists(rationals(), min_size=1, max_size=4)))
+    assume(not q.is_zero)
+    # (x - r)(x - conj r) q is rational whatever r is
+    p = poly_x_minus(r) * poly_x_minus(r_bar) * q
+    assert all(c.is_rational for c in p.coeffs)
+    assert p.vanishes_at(r) and p.vanishes_at(r_bar)
+    for x in (r, r_bar, data.draw(gaussians()),
+              data.draw(rationals()), r + FieldElement.make(0, fe(1, 7).ar)):
+        assert p.vanishes_at(x) == _horner(p.coeffs, x).is_zero
+        assert (-p).vanishes_at(x) == p.vanishes_at(x)
+
+
 def test_shift_is_substitution():
     rng = random.Random(11)
     for _ in range(50):
