@@ -36,7 +36,7 @@ from .field import FieldElement, ONE, Q, ZERO, fe
 from .diffop import DiffOp, commutator, compose, gauge_transform
 from .exprs import eval_exponent, eval_ratfunc, eval_scalar
 from .families import FAMILIES, assign
-from .funcalg import ExpMonomial, FunctionSum, apply_op, wronskian_numeric
+from .funcalg import ExpMonomial, FunctionSum, annihilates, wronskian_numeric
 from .poly import Polynomial
 from .ratfunc import RationalFunction, partial_fractions
 from .semicommute import SemiCommuteSpec, build_q1, build_q2, residual
@@ -614,8 +614,8 @@ def _verify_once(record: CaseRecord, full: dict, with_series: bool,
         for desc in descriptors:
             f = _basis_function(desc, full)
             closed_forms.append(f)
-            by_factor = apply_op(op, f).is_zero
-            by_l = apply_op(l_qp, f).is_zero
+            by_factor = annihilates(op, f)
+            by_l = annihilates(l_qp, f)
             basis_results.append({
                 "factor": label,
                 "function": str(f),

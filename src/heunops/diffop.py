@@ -8,12 +8,17 @@ functions are built on top of it.
 Products run over one common denominator (Bronstein and Petkovšek, *An
 introduction to pseudo-linear algebra*, 1996).  Each operand's coefficients
 are brought over the lcm of their denominators: A = (sum â_i d^i)/e and
-B = (sum N_j d^j)/d.  With g = gcd(d, d'), u = d/g and v = d'/g, the
-derivatives of N/d keep polynomial numerators,
+B = (sum N_j d^j)/d.  One derivative table serves both operator products
+and the application of an operator to a closed form r x^rho e^g
+(funcalg.apply_op).  For r = N/d, with the log-derivative h = H/E of
+x^rho e^g (no twist for a product), let g = gcd(d, d'), u = d/g,
+v = d'/g, W = lcm(u, E) and T = v (W/u) - H (W/E).  The k-th derivative
+of r x^rho e^g is N_k/(d W^k) x^rho e^g, with polynomial numerators
 
-    (N/(d u^t))' = (N' u - N (v + t u')) / (d u^(t+1)),
+    N_{k+1} = N_k' W - N_k (T + k W'),
 
-so one gcd serves the whole derivative table, and coefficient k of A∘B is
+so one gcd serves the whole table (DerivativeFrame).  With no twist, W = u
+and T = v, and coefficient k of A∘B is
 
     sum C(i, m) â_i N_{j,i-m} u^(n-(i-m))  over  e d u^n,   m + j = k,
 
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .poly import LaurentPolynomial, P_ONE, Polynomial, dot
+from .poly import LaurentPolynomial, P_ONE, P_ZERO, Polynomial, dot
 from .ratfunc import RF_ONE, RF_ZERO, RationalFunction
 
 
@@ -202,35 +207,67 @@ def over_common_denominator(op: DiffOp):
     return nums, den
 
 
+class DerivativeFrame:
+    """The frame (W, T, W') of the derivative table over a denominator d,
+    optionally twisted by a log-derivative h (see the module docstring):
+    rows[k] / (d W^k) is the k-th derivative factor of rows[0] / d."""
+
+    __slots__ = ("d", "w", "t", "wp", "plain", "_powers")
+
+    def __init__(self, d: Polynomial, h: RationalFunction | None = None):
+        u, v = P_ONE, P_ZERO  # d = 1
+        if d.degree > 0:
+            dp = d.derivative()
+            g = d.gcd(dp)
+            u, v = (d // g, dp // g) if g.degree > 0 else (d, dp)
+        w, t = u, v
+        if h is not None:
+            w = _join(u, h.den)
+            t = v * (w // u) - h.num * (w // h.den)
+        self.d, self.w, self.t = d, w, t
+        self.wp = w.derivative() if w.degree > 0 else P_ZERO
+        # W = 1 and T = 0: the rows are plain derivatives
+        self.plain = w.degree <= 0 and t.is_zero
+        self._powers = [P_ONE]
+
+    def extend(self, rows: list, n: int) -> None:
+        """Extend a nonempty row list in place to rows[0..n]."""
+        w, t, wp, plain = self.w, self.t, self.wp, self.plain
+        for k in range(len(rows) - 1, n):
+            num = rows[k]
+            rows.append(num.derivative() if plain else
+                        dot([(1, num.derivative(), w), (-1, num, t),
+                             (-k, num, wp)]))
+
+    def powers(self, n: int) -> list:
+        """[W^0, ..., W^n] (at least), cached; each is P_ONE itself when
+        W = 1."""
+        powers = self._powers
+        while len(powers) <= n:
+            powers.append(powers[-1] * self.w if self.w.degree > 0 else P_ONE)
+        return powers
+
+    def den(self, k: int) -> Polynomial:
+        """d W^k, the denominator of rows[k]."""
+        p = self.powers(k)[k]
+        return self.d if p is P_ONE else self.d * p
+
+
 def _product(a, b):
     """a∘b for operators given as (numerators, den): its numerators over the
     one denominator e d u^n, unreduced (see the module docstring)."""
     (an, e), (bn, d) = a, b
     n = len(an) - 1
-    # with d = 1, b's coefficients are polynomials: u = 1, plain derivatives
-    u = P_ONE
-    if d.degree > 0:
-        dp = d.derivative()
-        g = d.gcd(dp)
-        u, v = (d // g, dp // g) if g.degree > 0 else (d, dp)
-        up = u.derivative()
+    frame = DerivativeFrame(d)
     # table[j][t]: numerator of the t-th derivative of b_j over d u^t
     table = []
     for num in bn:
         row = []
         if not num.is_zero:
             row.append(num)
-            for t in range(n):
-                num = num.derivative()
-                if u is not P_ONE:
-                    num = dot([(1, num, u), (-1, row[-1], v),
-                               (-t, row[-1], up)])
-                row.append(num)
+            frame.extend(row, n)
         table.append(row)
-    powers = [P_ONE]
-    if u is not P_ONE:
-        for _ in range(n):
-            powers.append(powers[-1] * u)
+    powers = frame.powers(n)
     # terms[k]: the (C(i, t), â_i u^(n-t), N_{j,t}) triples of coefficient k
     terms = [[] for _ in range(n + len(bn))]
     for i, num in enumerate(an):
@@ -239,11 +276,13 @@ def _product(a, b):
         for t in range(i + 1):
             # a_i's share of every term that takes t derivatives of b
             c = comb(i, t)
-            w = num * powers[n - t] if u is not P_ONE and t < n else num
+            p = powers[n - t]
+            w = num if p is P_ONE else num * p
             for j, row in enumerate(table):
                 if t < len(row):
                     terms[i - t + j].append((c, w, row[t]))
-    return [dot(ts) for ts in terms], e if u is P_ONE else e * d * powers[n]
+    den = frame.den(n)
+    return [dot(ts) for ts in terms], e if den is P_ONE else e * den
 
 
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:

@@ -8,11 +8,18 @@ keeps its key (rho, g) under d/dx:
     d/dx [r x^rho e^g] = (r' + r*h) x^rho e^g,   h = rho/x + g'.
 
 So the k-th derivative of a term is r_k x^rho e^g with r_0 = r and
-r_{k+1} = r_k' + r_k*h.  A FunctionSum caches this chain per term, extending
-it only as far as an operator's order asks, so applying a factor and then
-L = Q∘P to the same basis function differentiates it once.  Applying an
-operator sum c_k d^k is then sum_k c_k*r_k per term, exactly; a basis
-function is certified annihilated when the resulting sum is identically zero.
+r_{k+1} = r_k' + r_k*h.  With r = N/d, r_k = N_k / (d W^k) over one frame:
+this is diffop's derivative table twisted by h (diffop.DerivativeFrame),
+whose rows N_k stay unreduced polynomials.  A FunctionSum caches the frame
+and the rows per term, extending them only as far as an operator's order
+asks, so applying a factor and then L = Q∘P to the same basis function
+differentiates it once.  With op = (sum â_k d^k)/e over one denominator and
+n = ord op, op applied to a term is
+
+    sum_k â_k N_k W^(n-k)  over  e d W^n,
+
+one poly.dot per term.  A basis function is certified annihilated when
+every such numerator is zero, with no reduction at all (annihilates).
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ from __future__ import annotations
 import cmath
 import math
 
+from .diffop import DerivativeFrame, over_common_denominator
 from .field import FieldElement, ONE, ZERO
-from .poly import LaurentPolynomial, Polynomial
-from .ratfunc import RF_ZERO, PoleError, RationalFunction
+from .poly import LaurentPolynomial, P_ONE, Polynomial, dot
+from .ratfunc import PoleError, RationalFunction
 
 
 class BranchPointError(ValueError):
@@ -49,9 +57,7 @@ class ExpMonomial:
     constant cannot be folded exactly and is rejected).
     """
 
-    # _h caches the log-derivative factor h = rho/x + g'; None until the
-    # first derivative asks for it.
-    __slots__ = ("rat", "rho", "g", "_h")
+    __slots__ = ("rat", "rho", "g")
 
     def __init__(self, rat: RationalFunction, rho: FieldElement = ZERO,
                  g: LaurentPolynomial | None = None):
@@ -70,12 +76,11 @@ class ExpMonomial:
         self.rat = rat
         self.rho = rho
         self.g = g
-        self._h = None
 
     def _with_rat(self, rat: RationalFunction) -> "ExpMonomial":
-        """rat x^rho e^g with this term's key and cached h."""
+        """rat x^rho e^g with this term's key."""
         m = object.__new__(ExpMonomial)
-        m.rat, m.rho, m.g, m._h = rat, self.rho, self.g, self._h
+        m.rat, m.rho, m.g = rat, self.rho, self.g
         return m
 
     @property
@@ -86,16 +91,17 @@ class ExpMonomial:
         """Like-term key: terms merge iff they share (rho, g)."""
         return (self.rho, self.g)
 
-    def _step(self, r: RationalFunction) -> RationalFunction:
-        """r' + r*h: the factor of d/dx [r x^rho e^g] for this term's key."""
-        h = self._h
-        if h is None:
-            h = self._h = RationalFunction.from_laurent(
-                self.g.derivative() + LaurentPolynomial({-1: self.rho}))
-        return r.derivative() + r * h
+    def _table(self):
+        """(frame, rows): the derivative table of rat over its denominator,
+        twisted by h = rho/x + g', with rows = [rat.num]."""
+        h = RationalFunction.from_laurent(
+            self.g.derivative() + LaurentPolynomial({-1: self.rho}))
+        return DerivativeFrame(self.rat.den, h), [self.rat.num]
 
     def derivative(self) -> "ExpMonomial":
-        return self._with_rat(self._step(self.rat))
+        frame, rows = self._table()
+        frame.extend(rows, 1)
+        return self._with_rat(RationalFunction(rows[1], frame.den(1)))
 
     def __mul__(self, other):
         if not isinstance(other, ExpMonomial):
@@ -182,9 +188,9 @@ class ExpMonomial:
 class FunctionSum:
     """Sum of coefficient * ExpMonomial with like terms merged."""
 
-    # _chain caches the derivative chain, [r_0, r_1, ...] per term (see the
-    # module docstring); None until a derivative asks for it.
-    __slots__ = ("terms", "_chain")
+    # _tables caches the derivative table, (frame, [N_0, N_1, ...]) per term
+    # (see the module docstring); None until a derivative asks for it.
+    __slots__ = ("terms", "_tables")
 
     def __init__(self, terms=()):
         merged: dict = {}
@@ -208,14 +214,14 @@ class FunctionSum:
             if not merged[k].is_zero:
                 out.append(ExpMonomial(merged[k], k[0], k[1]))
         self.terms = tuple(out)
-        self._chain = None
+        self._tables = None
 
     @classmethod
     def _distinct(cls, terms) -> "FunctionSum":
         """The sum of terms with pairwise distinct keys, zero ones dropped."""
         s = object.__new__(cls)
         s.terms = tuple(t for t in terms if not t.is_zero)
-        s._chain = None
+        s._tables = None
         return s
 
     @classmethod
@@ -243,20 +249,20 @@ class FunctionSum:
         return FunctionSum([t.scale(c) for t in self.terms])
 
     def _derivatives(self, n: int) -> list:
-        """Per term, [r_0, ..., r_n]: the k-th derivative of the term is
-        r_k x^rho e^g.  Cached, and extended only as far as n."""
-        chain = self._chain
-        if chain is None:
-            chain = self._chain = [[t.rat] for t in self.terms]
-        for t, rs in zip(self.terms, chain):
-            while len(rs) <= n:
-                rs.append(t._step(rs[-1]))
-        return chain
+        """Per term, (frame, rows) with rows[0..n]: the k-th derivative of
+        the term is rows[k] / frame.den(k) x^rho e^g.  Cached, and extended
+        only as far as n."""
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = [t._table() for t in self.terms]
+        for frame, rows in tables:
+            frame.extend(rows, n)
+        return tables
 
     def derivative(self) -> "FunctionSum":
         return FunctionSum._distinct(
-            t._with_rat(rs[1])
-            for t, rs in zip(self.terms, self._derivatives(1)))
+            t._with_rat(RationalFunction(rows[1], frame.den(1)))
+            for t, (frame, rows) in zip(self.terms, self._derivatives(1)))
 
     def jet(self, x: complex, n: int) -> list:
         """First n Taylor coefficients at x, summed over the terms."""
@@ -281,21 +287,39 @@ class FunctionSum:
         return f"FunctionSum[{self}]"
 
 
+def _numerators(op, f: FunctionSum):
+    """(e, [(numerator, frame) per term of f]): op applied to a term is its
+    numerator over e d W^n, n = ord op, unreduced (see the module
+    docstring)."""
+    nums, e = over_common_denominator(op)
+    n = len(nums) - 1
+    out = []
+    for frame, rows in f._derivatives(n):
+        powers = frame.powers(n)
+        terms = []
+        for k, a in enumerate(nums):
+            if not a.is_zero:
+                p = powers[n - k]
+                terms.append((1, a if p is P_ONE else a * p, rows[k]))
+        out.append((dot(terms), frame))
+    return e, out
+
+
 def apply_op(op, f: FunctionSum) -> FunctionSum:
     """The differential operator applied to a function sum, exactly: per
-    term, sum_k c_k*r_k over the cached derivative chain of f."""
-    out = []
-    for t, rs in zip(f.terms, f._derivatives(len(op.coeffs) - 1)):
-        acc = RF_ZERO
-        for c, r in zip(op.coeffs, rs):
-            if not c.is_zero:
-                acc = acc + r * c
-        out.append(t._with_rat(acc))
-    return FunctionSum._distinct(out)
+    term, one dot over the cached derivative table of f, reduced once."""
+    if op.is_zero:
+        return FunctionSum._distinct(())
+    e, numerators = _numerators(op, f)
+    return FunctionSum._distinct(
+        t._with_rat(RationalFunction(num, e * frame.den(op.order)))
+        for t, (num, frame) in zip(f.terms, numerators))
 
 
 def annihilates(op, f: FunctionSum) -> bool:
-    return apply_op(op, f).is_zero
+    """Whether op f = 0: every per-term numerator is zero, which needs no
+    reduction."""
+    return all(num.is_zero for num, _ in _numerators(op, f)[1])
 
 
 def wronskian_numeric(funcs, x: complex) -> complex:

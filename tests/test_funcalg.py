@@ -5,14 +5,18 @@ import random
 
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heunops import catalog as cat
-from heunops.field import fe, ONE, ZERO
-from heunops.poly import LaurentPolynomial, P_ONE, P_X, Polynomial
-from heunops.ratfunc import PoleError, RationalFunction, rf
-from heunops.diffop import DiffOp, compose
+from heunops.field import I, fe, ONE, ZERO
+from heunops.poly import (LaurentPolynomial, P_ONE, P_X, Polynomial,
+                          poly_x_minus)
+from heunops.ratfunc import RF_ZERO, PoleError, RationalFunction, rf
+from heunops.diffop import DerivativeFrame, DiffOp, compose
 from heunops.funcalg import (BranchPointError, ExpMonomial, FunctionSum,
                              annihilates, apply_op, wronskian_numeric)
+from test_diffop import _X, _sympy_apply, _to_sympy_rf, _to_sympy_scalar
 
 
 def exp_term(rate, rat=None, rho=ZERO):
@@ -310,28 +314,34 @@ def test_apply_op_matches_reference_on_catalog_bases():
     factor on the other factor's basis) and, at draw 0, perturbed bases come
     out nonzero."""
     zero = nonzero = 0
+
+    def checked(op, f, *where):
+        """apply_op(op, f), checked against the reference; annihilates must
+        read the same zero test off the unreduced numerators."""
+        got, ref = apply_op(op, f), _reference_apply(op, f)
+        assert got == ref, where
+        assert annihilates(op, f) == ref.is_zero, where
+        return got
+
     for rec, draw, p, q, l_qp, bases in _catalog_operators(0, 3):
         factors = {"P": p, "Q": q}
         for label, funcs in bases.items():
             other = "Q" if label == "P" else "P"
             for f in funcs:
-                # the factor first, then L, on one f: L extends the chain
+                # the factor first, then L, on one f: L extends the table
                 # the factor started
                 for op in (factors[label], l_qp):
-                    got = apply_op(op, f)
-                    assert got == _reference_apply(op, f), (rec.id, label)
-                    assert got.is_zero, (rec.id, label)
+                    assert checked(op, f, rec.id, label).is_zero, \
+                        (rec.id, label)
                     zero += 1
-                got = apply_op(factors[other], f)
-                assert got == _reference_apply(factors[other], f), rec.id
+                got = checked(factors[other], f, rec.id, label, "cross")
                 assert not got.is_zero, (rec.id, label, "cross")
                 nonzero += 1
                 if draw:
                     continue
                 for g in _perturbed(f, (factors[label], l_qp)):
                     for op in (factors[label], l_qp):
-                        got = apply_op(op, g)
-                        assert got == _reference_apply(op, g), rec.id
+                        got = checked(op, g, rec.id, label, str(g))
                         assert not got.is_zero, (rec.id, label, str(g))
                         nonzero += 1
     assert zero >= 600 and nonzero >= 700
@@ -344,9 +354,197 @@ def test_apply_op_reuses_and_extends_the_cached_chain():
     d2 = DiffOp([rf(1), rf(0), rf(1)])
     d4 = DiffOp([rf(0), rf(3), rf(0), rf(0), RationalFunction.from_polynomial(P_X)])
     assert apply_op(d2, f) == _reference_apply(d2, f)
-    assert len(f._chain[0]) == 3
+    frame, rows = f._tables[0]
+    assert len(rows) == 3
+    first = list(rows)
     assert apply_op(d4, f) == _reference_apply(d4, f)
-    assert len(f._chain[0]) == 5
+    # the same frame and row list, extended in place: rows 0-2 are reused
+    assert f._tables[0][0] is frame and f._tables[0][1] is rows
+    assert len(rows) == 5
+    assert all(a is b for a, b in zip(rows, first))
     assert f.derivative().derivative() == _reference_derivative(
         _reference_derivative(f))
     assert apply_op(DiffOp([]), f).is_zero
+
+
+#: The one extension each drawn example works over; None is Q itself.
+_EXTENSIONS = {"Q": None, "Q(i)": I, "Q(sqrt 2)": fe(2).sqrt()}
+
+_TABLE_ORACLE = settings(
+    max_examples=100, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def fields(draw):
+    return _EXTENSIONS[draw(st.sampled_from(sorted(_EXTENSIONS)))]
+
+
+def _scalars(draw, gen):
+    """(rational, scalar) drawers over Q(gen)."""
+    def rational():
+        return fe(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+
+    def scalar():
+        c = rational()
+        if gen is not None and draw(st.booleans()):
+            c = c + rational() * gen
+        return c
+
+    return rational, scalar
+
+
+def _denominator(draw, gen, rational):
+    """1, x, x^2, x^2 (x - 1), (x - 1)^2 (x + 2), a random monic quadratic,
+    or x - gen: several share the factor x with a pole of the twist."""
+    choices = [P_ONE, P_X, P_X ** 2, P_X ** 2 * poly_x_minus(fe(1)),
+               poly_x_minus(fe(1)) ** 2 * poly_x_minus(fe(-2)),
+               Polynomial([rational(), rational(), 1])]
+    if gen is not None:
+        choices.append(poly_x_minus(gen))
+    return draw(st.sampled_from(choices))
+
+
+@st.composite
+def closed_form_terms(draw, gen):
+    """r x^rho e^g over Q(gen): rho is 0, rational, or Gaussian or
+    quadratic (rational + rational * gen), and g draws negative exponents,
+    so the twist's denominator x^m can share the factor x with r's."""
+    rational, scalar = _scalars(draw, gen)
+    num = Polynomial([scalar() for _ in range(draw(st.integers(1, 3)))])
+    r = RationalFunction(P_ONE if num.is_zero else num,
+                         _denominator(draw, gen, rational))
+    kind = draw(st.sampled_from(["zero", "rational", "extension"]))
+    rho = ZERO if kind == "zero" else rational()
+    if kind == "extension" and gen is not None:
+        rho = rho + fe(draw(st.integers(1, 3)), draw(st.integers(1, 3))) * gen
+    g = LaurentPolynomial({k: scalar() for k in draw(
+        st.sets(st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=3))})
+    return ExpMonomial(r, rho, g)
+
+
+def _reduced_chain(t, n):
+    """Reference: r_0 = r and r_{k+1} = r_k' + r_k*h, h = rho/x + g', each
+    step reduced (the per-step formula the twisted table replaced)."""
+    h = RationalFunction.from_laurent(
+        t.g.derivative() + LaurentPolynomial({-1: t.rho}))
+    chain = [t.rat]
+    for _ in range(n):
+        chain.append(chain[-1].derivative() + chain[-1] * h)
+    return chain
+
+
+@_TABLE_ORACLE
+@given(data=st.data())
+def test_twisted_table_matches_the_reduced_chain(backend, data):
+    """rows[k] / (d W^k) is the reduced r_k for k <= 4; ExpMonomial's and
+    FunctionSum's derivative() read row 1 of the same table."""
+    t = data.draw(closed_form_terms(data.draw(fields())))
+    frame, rows = t._table()
+    frame.extend(rows, 4)
+    chain = _reduced_chain(t, 4)
+    for k, r in enumerate(chain):
+        assert RationalFunction(rows[k], frame.den(k)) == r, k
+    assert t.derivative() == t._with_rat(chain[1])
+    f = FunctionSum([t])
+    assert f.derivative() == FunctionSum([t._with_rat(chain[1])])
+
+
+def _product_rows(num, d, n):
+    """Reference: the untwisted table as _product built it inline, N_0 = N
+    and N_{t+1} = N_t' u - N_t (v + t u') with u = d/gcd(d, d'),
+    v = d'/gcd(d, d'); plain derivatives when d = 1."""
+    rows = [num]
+    if d.degree <= 0:
+        for _ in range(n):
+            rows.append(rows[-1].derivative())
+        return rows, P_ONE
+    g = d.gcd(d.derivative())
+    u, v = d // g, d.derivative() // g
+    for t in range(n):
+        rows.append(rows[-1].derivative() * u - rows[-1] * v
+                    - rows[-1] * u.derivative() * fe(t))
+    return rows, u
+
+
+@_TABLE_ORACLE
+@given(data=st.data())
+def test_zero_twist_is_the_product_table(backend, data):
+    """With h = 0 (and with no h, as _product builds it) the table is the
+    untwisted derivative table over d u^k."""
+    t = data.draw(closed_form_terms(data.draw(fields())))
+    num, d = t.rat.num, t.rat.den
+    ref, u = _product_rows(num, d, 4)
+    for frame in (DerivativeFrame(d), DerivativeFrame(d, RF_ZERO)):
+        rows = [num]
+        frame.extend(rows, 4)
+        assert rows == ref
+        assert frame.w == u
+        assert all(frame.den(k) == d * u ** k for k in range(5))
+
+
+# A sympy oracle for apply_op: sympy differentiates r exp(s log x + g) with
+# a symbol s for rho (a numeric rho would turn exp(rho log x) into x^rho,
+# and sympy would not cancel the powers), every term then carries the one
+# factor exp(s log x + g), which is divided out by setting it to 1, and the
+# rest is a rational function of x and s.  It is evaluated exactly in
+# Q(sqrt 2, i) at points that are poles of no drawn denominator.
+_S = sp.Symbol("s")
+_K = sp.QQ.algebraic_field(sp.sqrt(2), sp.I)
+_K_ATOMS = {sp.sqrt(2): _K.from_sympy(sp.sqrt(2)), sp.I: _K.from_sympy(sp.I)}
+_POINTS = (fe(17, 19), fe(-23, 29), fe(31, 37), fe(-41, 43))
+
+
+def _in_k(expr, env):
+    """An expression in x, s, sqrt 2 and i, evaluated exactly in _K."""
+    if expr in env:
+        return env[expr]
+    if expr.is_Rational:
+        return _K.convert(expr)
+    if expr.is_Add or expr.is_Mul:
+        parts = [_in_k(a, env) for a in expr.args]
+        out = parts[0]
+        for v in parts[1:]:
+            out = out + v if expr.is_Add else out * v
+        return out
+    if expr.is_Pow and expr.exp.is_Integer:
+        base, k = _in_k(expr.base, env), int(expr.exp)
+        return base ** k if k >= 0 else _K.one / base ** -k
+    raise ValueError(f"not rational in x and s: {expr}")
+
+
+@st.composite
+def applications(draw):
+    """An operator of order 0-3 and one closed-form term over one field."""
+    gen = draw(fields())
+    rational, scalar = _scalars(draw, gen)
+    coeffs = [RationalFunction(
+        Polynomial([scalar() for _ in range(draw(st.integers(0, 2)))]),
+        _denominator(draw, gen, rational))
+        for _ in range(draw(st.integers(1, 4)))]
+    return DiffOp(coeffs), draw(closed_form_terms(gen))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=applications())
+def test_apply_op_matches_sympy(case):
+    op, t = case
+    g = sum((_to_sympy_scalar(v) * _X ** k for k, v in t.g.terms.items()),
+            sp.Integer(0))
+    applied = _sympy_apply(op, _to_sympy_rf(t.rat)
+                           * sp.exp(_S * sp.log(_X) + g))
+    ratio = applied.replace(sp.exp, lambda _: sp.Integer(1))
+    got = apply_op(op, FunctionSum([t]))
+    assert annihilates(op, FunctionSum([t])) == got.is_zero
+    if got.is_zero:
+        rat = RationalFunction.constant(ZERO)
+    else:
+        (term,) = got.terms
+        assert term.key() == t.key()
+        rat = term.rat
+    env = dict(_K_ATOMS)
+    env[_S] = _in_k(_to_sympy_scalar(t.rho), env)
+    for x in _POINTS:
+        env[_X] = _K.convert(sp.Rational(int(x.ar.numerator),
+                                         int(x.ar.denominator)))
+        assert _in_k(ratio, env) == _in_k(_to_sympy_rf(rat), env), x
