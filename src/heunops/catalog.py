@@ -33,12 +33,13 @@ from importlib import resources
 from pathlib import Path
 
 from .field import FieldElement, ONE, Q, ZERO, fe
-from .diffop import DiffOp, commutator, compose, gauge_transform
+from .diffop import (DiffOp, commutator, compose, gauge_transform,
+                     over_common_denominator)
 from .exprs import eval_exponent, eval_ratfunc, eval_scalar
 from .families import FAMILIES, assign
 from .funcalg import ExpMonomial, FunctionSum, annihilates, wronskian_numeric
 from .poly import Polynomial
-from .ratfunc import RationalFunction, partial_fractions
+from .ratfunc import RationalFunction, partial_fractions, poly_roots
 from .semicommute import SemiCommuteSpec, build_q1, build_q2, residual
 from .series import frobenius_series, series_residuals
 
@@ -553,12 +554,11 @@ def _series_check(record: CaseRecord, env: dict, truncations=(10, 20, 40),
 def _series_radius(p: DiffOp, x0: FieldElement):
     """One tenth of the distance to the nearest other finite singularity
     (default distance 1 when there is none); exact rational for the real
-    singularities of the catalog."""
-    from .families import classify_singularities, INFINITY
-
+    singularities of the catalog.  P is monic, so its finite singular points
+    are the roots of its coefficients' common denominator."""
     best = None
-    for location, _kind in classify_singularities(p):
-        if location == INFINITY or location == x0:
+    for location, _mult in poly_roots(over_common_denominator(p)[1])[0]:
+        if location == x0:
             continue
         delta = location - x0
         if not delta.is_rational:

@@ -194,7 +194,6 @@ class FunctionSum:
 
     def __init__(self, terms=()):
         merged: dict = {}
-        order: list = []
         for item in terms:
             if isinstance(item, ExpMonomial):
                 coeff, mono = ONE, item
@@ -205,15 +204,13 @@ class FunctionSum:
                 continue
             k = mono.key()
             if k in merged:
-                merged[k] = merged[k] + mono.rat * coeff
+                prev = merged[k]
+                merged[k] = prev._with_rat(prev.rat + mono.rat * coeff)
             else:
-                merged[k] = mono.rat * coeff
-                order.append(k)
-        out = []
-        for k in order:
-            if not merged[k].is_zero:
-                out.append(ExpMonomial(merged[k], k[0], k[1]))
-        self.terms = tuple(out)
+                # a lone term with coefficient 1 is kept as it is
+                merged[k] = mono if coeff.is_one \
+                    else mono._with_rat(mono.rat * coeff)
+        self.terms = tuple(m for m in merged.values() if not m.is_zero)
         self._tables = None
 
     @classmethod

@@ -13,8 +13,8 @@ and the FieldElement coefficient tuple is built only when something asks for
 FieldElement loops, as do division and gcds over any extension.  dot, the
 sum of products c*a*b that operator products are made of, accumulates
 rational operands on one integer list over one denominator.  No other
-module reads the integer form: they go through eval, vanishes_at, dot and
-the arithmetic.
+module reads the integer form: they go through eval, vanishes_at, deflate,
+root_denominator, dot and the arithmetic.
 """
 
 from __future__ import annotations
@@ -306,6 +306,26 @@ class Polynomial:
             if lead % x.ar.denominator or lead % x.ai.denominator:
                 return False
         return self.eval(x).is_zero
+
+    def root_denominator(self) -> int | None:
+        """An integer L with L*x in Z[i] for every root x in Q(i): the
+        leading coefficient of the primitive integer form of p, or of its
+        norm down to Q[x] when p has Gaussian or sqrt(d) coefficients.
+        None when p is zero or its coefficients mix radicands."""
+        form = self._int_form()
+        ints = form[0] if form else _norm_ints(self.coeffs)
+        if not ints:
+            return None
+        return abs(ints[-1]) // math.gcd(*ints)
+
+    def deflate(self, x: FieldElement):
+        """(q, m) with p = (t - x)^m q and q(x) != 0, for nonzero p; q is p
+        itself when m = 0."""
+        lin = poly_x_minus(x)
+        q, m = self, 0
+        while q.degree >= 1 and q.vanishes_at(x):
+            q, m = q // lin, m + 1
+        return q, m
 
     def eval_complex(self, x: complex) -> complex:
         acc = 0j

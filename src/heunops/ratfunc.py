@@ -2,6 +2,14 @@
 them: partial fractions, rational antiderivatives, pole orders, and
 exact/numeric root extraction.
 
+poly_roots finds the roots of p's squarefree part p / gcd(p, p') with numpy,
+where each is simple and so accurate to about 1e-15.  By the rational root
+theorem over Z[i], a root x in Q(i) has L*x in Z[i] for the integer L of
+Polynomial.root_denominator, so round(L*z)/L is the one candidate at a
+numeric root z; Polynomial.deflate certifies it and counts its multiplicity
+in p, and pole orders and partial fractions count multiplicities the same
+way.
+
 Normal form: gcd(num, den) = 1 and den monic.  Zero is 0/1.  With that, two
 rational functions are equal iff their components are equal, which is what
 makes operator equality testing trivial downstream.
@@ -9,9 +17,10 @@ makes operator equality testing trivial downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from .field import FieldElement, ZERO, Q, fe
@@ -320,11 +329,7 @@ def partial_fractions(f: RationalFunction, poles) -> PartialFractionForm:
         if p in seen:
             continue
         seen.add(p)
-        lin = poly_x_minus(p)
-        m = 0
-        while not den.is_zero and den.degree >= 1 and den.eval(p).is_zero:
-            den = den // lin
-            m += 1
+        den, m = den.deflate(p)
         if m:
             mults.append((p, m))
     if den.degree > 0:
@@ -423,105 +428,73 @@ def antiderivative(f: RationalFunction) -> RationalFunction:
 
 
 def pole_order(f: RationalFunction, x0: FieldElement) -> int:
-    """Order of the pole of f at x0 (0 when f is finite there)."""
-    if f.is_zero:
-        return 0
-    den_s = f.den.shift(x0)
-    dv = next(k for k, c in enumerate(den_s.coeffs) if not c.is_zero)
-    return dv
+    """Order of the pole of f at x0 (0 when f is finite there): the
+    multiplicity of x0 as a root of the reduced denominator."""
+    return f.den.deflate(x0)[1]
 
 
-#: Denominator bounds of the candidates _reconstruct_rational returns.
-_DENOMINATOR_LIMITS = (1, 2, 4, 8, 16, 64, 4096, 10 ** 6, 10 ** 9)
+#: Bits of L*(1 + |z|) from which a double-precision root no longer pins
+#: round(L*z), so that z is refined in mpmath first.
+_FLOAT_BITS = 45
 
 
-def _reconstruct_rational(value: float) -> list:
-    """Small-denominator rational candidates near a float: for each bound L
-    in _DENOMINATOR_LIMITS, Fraction(value).limit_denominator(L), with
-    consecutive repeats dropped.
+def _numpy_roots(p: Polynomial):
+    return np.roots([c.to_complex() for c in reversed(p.coeffs)])
 
-    One continued-fraction pass serves every bound, since each bound only
-    takes the expansion further.  As in limit_denominator, the answer is
-    the last convergent p1/q1 with q1 <= L unless the semiconvergent
-    (p0 + k p1)/(q0 + k q1) is strictly closer; the distances are compared
-    by integer cross-multiplication.
-    """
-    exact = Fraction(value)
-    num, den = exact.numerator, exact.denominator
-    out = []
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = num, den
-    for limit in _DENOMINATOR_LIMITS:
-        if den <= limit:
-            cand = exact
-        else:
-            while True:
-                a = n // d
-                q2 = q0 + a * q1
-                if q2 > limit:
+
+def _rounded_root(s: Polynomial, z: complex, lead: int) -> FieldElement:
+    """round(lead*z)/lead, the one Gaussian rational x with lead*x in Z[i]
+    that can be the root of s at z.  Rounding is exact while |z - x| <
+    1/(2 lead); when lead*(1 + |z|) reaches 2^_FLOAT_BITS, z is first refined
+    by Newton's method on s, whose roots are simple, at that many digits
+    plus 20."""
+    size = math.log2(lead) + math.log2(1 + abs(z))
+    if size < _FLOAT_BITS:
+        re, im = round(lead * z.real), round(lead * z.imag)
+    else:
+        with mpmath.workdps(math.ceil(size * math.log10(2)) + 20):
+            cs = [c.to_mpc(mpmath.mp) for c in reversed(s.coeffs)]
+            x = mpmath.mpc(z)
+            for _ in range(100):
+                value, slope = mpmath.polyval(cs, x, derivative=True)
+                if not slope:
                     break
-                p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-                n, d = d, n - a * d
-            k = (limit - q0) // q1
-            ps, qs = p0 + k * p1, q0 + k * q1
-            if abs(p1 * den - num * q1) * qs <= abs(ps * den - num * qs) * q1:
-                cand = Fraction(p1, q1)
-            else:
-                cand = Fraction(ps, qs)
-        if not out or cand != out[-1]:
-            out.append(cand)
-    return out
-
-
-#: Distance from a numeric root within which a reconstructed Gaussian
-#: rational candidate is tested as an exact root.
-ROOT_WINDOW = 1e-6
-
-
-def _exact_root_near(p: Polynomial, z, found: list):
-    """The first small-denominator Gaussian rational within ROOT_WINDOW of
-    the numeric root z, not in found, at which p vanishes, or None.  Each
-    part of z is reconstructed once; candidates run real part first."""
-    ims = [(im, float(im)) for im in _reconstruct_rational(float(z.imag))]
-    for re in _reconstruct_rational(float(z.real)):
-        x = float(re)
-        for im, y in ims:
-            if abs(complex(x, y) - z) > ROOT_WINDOW:
-                continue
-            cand = FieldElement.make(Q(re.numerator, re.denominator),
-                                     Q(im.numerator, im.denominator))
-            if cand not in found and p.vanishes_at(cand):
-                return cand
-    return None
+                step = value / slope
+                x -= step
+                if abs(step) <= 2 ** 10 * mpmath.mp.eps * (1 + abs(x)):
+                    break
+            re, im = (int(mpmath.nint(lead * part))
+                      for part in (x.real, x.imag))
+    return FieldElement.make(Q(re, lead), Q(im, lead))
 
 
 def poly_roots(p: Polynomial):
-    """Roots of p: exact ones where reconstructible, the rest numeric.
+    """Roots of p: exact ones in Q(i), the rest numeric.
 
-    Numeric roots come from the numpy companion-matrix solver; each is tested
-    against small-denominator Gaussian-rational candidates within ROOT_WINDOW
-    of it and kept exact when the candidate is verified to be a true root.
-    Returns (exact: list[(FieldElement, multiplicity)], numeric:
-    list[complex]).
+    The numpy companion-matrix solver finds the roots of the squarefree part
+    s = p / gcd(p, p'), each simple, to about 1e-15.  With L =
+    s.root_denominator(), every root x in Q(i) has L*x in Z[i] (the rational
+    root theorem over Z[i]), so the only candidate at a numeric root z is
+    round(L*z)/L (see _rounded_root).  Polynomial.deflate certifies it and
+    divides out its multiplicity in p; the numeric roots are those of what
+    is left of p, with multiplicity.  When L is None (mixed radicands) every
+    root is numeric.  Returns (exact: list[(FieldElement, multiplicity)],
+    numeric: list[complex]).
     """
     if p.degree <= 0:
         return [], []
-    coeffs = [c.to_complex() for c in reversed(p.coeffs)]
-    numeric_roots = np.roots(coeffs)
+    g = p.gcd(p.derivative())
+    s = p if g.degree == 0 else p // g
+    roots = _numpy_roots(s)
+    lead = s.root_denominator()
     exact: list = []
     remaining = p
-    for z in numeric_roots:
-        cand = _exact_root_near(remaining, z, [e for e, _ in exact])
-        if cand is None:
-            continue
-        lin = poly_x_minus(cand)
-        remaining, mult = remaining // lin, 1
-        while remaining.degree >= 1 and remaining.vanishes_at(cand):
-            remaining = remaining // lin
-            mult += 1
-        exact.append((cand, mult))
-    numeric = []
-    if remaining.degree >= 1:
-        rem_coeffs = [c.to_complex() for c in reversed(remaining.coeffs)]
-        numeric = [complex(z) for z in np.roots(rem_coeffs)]
-    return exact, numeric
+    if lead is not None:
+        for z in roots:
+            x = _rounded_root(s, complex(z), lead)
+            remaining, mult = remaining.deflate(x)
+            if mult:
+                exact.append((x, mult))
+    if remaining is not s:
+        roots = _numpy_roots(remaining) if remaining.degree >= 1 else []
+    return exact, [complex(z) for z in roots]

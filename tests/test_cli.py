@@ -190,6 +190,10 @@ def test_verify_all_seed101_matches_golden(capsys):
     _assert_verify_all_matches_golden(capsys, 101)
 
 
+def test_verify_all_seed7_matches_golden(capsys):
+    _assert_verify_all_matches_golden(capsys, 7)
+
+
 def test_verify_all_text_marks_crashes(capsys, monkeypatch):
     from heunops import catalog as cat
 

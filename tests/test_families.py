@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from heunops.field import fe, ONE, ZERO
-from heunops.poly import P_X, Polynomial, poly_x_minus
+from heunops.poly import P_ONE, P_X, Polynomial, poly_x_minus
 from heunops.ratfunc import RationalFunction, partial_fractions, rf
 from heunops.diffop import DiffOp
 from heunops.families import (FAMILIES, INFINITY, IRREGULAR_SINGULAR,
@@ -163,6 +163,13 @@ def test_classify_biconfluent_irregular_origin():
     got = {str(loc): kind for loc, kind in classify_singularities(p)}
     assert got["0"] == IRREGULAR_SINGULAR
     assert got["infinity"] == IRREGULAR_SINGULAR
+
+
+def test_classify_triple_pole_irregular():
+    # np.roots scatters the triple root 1/2 of the denominator by about 1e-5
+    p = DiffOp([RationalFunction(P_ONE, poly_x_minus(fe(1, 2)) ** 3),
+                ZERO, ONE])
+    assert (fe(1, 2), IRREGULAR_SINGULAR) in classify_singularities(p)
 
 
 # The standard coefficient tables (Ronveaux ed., Heun's Differential

@@ -162,6 +162,14 @@ def test_like_terms_merge_and_cancel():
     assert doubled.terms[0].rat == rf(2)
 
 
+def test_lone_unit_term_is_kept_as_it_is():
+    m = exp_term(fe(2))
+    assert FunctionSum([m]).terms[0] is m
+    assert FunctionSum([(ONE, m)]).terms[0] is m
+    scaled = FunctionSum([(fe(3), m)]).terms[0]
+    assert scaled.rat == m.rat * rf(3) and scaled.key() == m.key()
+
+
 def _wronskian_by_exact_derivatives(funcs, x):
     """Reference Wronskian from exact derivatives evaluated term by term at
     x != 0, with the Hadamard bound (product of row norms) that scales its

@@ -645,6 +645,57 @@ def test_vanishes_at_matches_eval_at_gaussian_points(backend, data):
         assert (-p).vanishes_at(x) == p.vanishes_at(x)
 
 
+# -- deflate and root_denominator: the primitives of poly_roots ----------------
+
+
+@settings(_ORACLE_SETTINGS, max_examples=60)
+@given(data=st.data())
+def test_deflate_counts_the_vanishing_taylor_coefficients(backend, data):
+    scalars = data.draw(st.sampled_from([rationals, gaussians,
+                                         sqrt2_elements]))
+    x = data.draw(scalars())
+    q = Polynomial(data.draw(st.lists(scalars(), min_size=1, max_size=4)))
+    assume(not q.is_zero)
+    p = q * poly_x_minus(x) ** data.draw(st.integers(0, 3))
+    for point in (x, data.draw(st.one_of(scalars(), gaussians()))):
+        quotient, mult = p.deflate(point)
+        # the multiplicity is the number of zero Taylor coefficients at
+        # point, the leading ones of the ascending p(t + point)
+        shifted = p.shift(point).coeffs
+        assert mult == next(k for k, c in enumerate(shifted)
+                            if not c.is_zero)
+        assert not _horner(quotient.coeffs, point).is_zero
+        assert quotient * poly_x_minus(point) ** mult == p
+        if mult == 0:
+            assert quotient is p
+
+
+@settings(_ORACLE_SETTINGS, max_examples=60)
+@given(data=st.data())
+def test_root_denominator_clears_every_gaussian_root(backend, data):
+    scalars = data.draw(st.sampled_from([rationals, gaussians,
+                                         sqrt2_elements]))
+    lead = data.draw(scalars())
+    assume(not lead.is_zero)
+    roots = data.draw(st.lists(gaussians(), min_size=1, max_size=3))
+    p = Polynomial([lead])
+    for r in roots:
+        p = p * poly_x_minus(r)
+    scale = p.root_denominator()
+    for r in roots:
+        cleared = r * scale
+        assert cleared.ar.denominator == 1 and cleared.ai.denominator == 1
+
+
+def test_root_denominator_edge_cases():
+    # 6x - 3 over 9: the primitive form is 2x - 1
+    assert Polynomial([fe(-3, 9), fe(6, 9)]).root_denominator() == 2
+    assert Polynomial([fe(5, 7)]).root_denominator() == 1
+    assert Polynomial().root_denominator() is None
+    mixed = Polynomial([_ext(fe(1), fe(1), _SQRT2), _ext(fe(1), fe(1), (3, 0))])
+    assert mixed.root_denominator() is None
+
+
 def test_shift_is_substitution():
     rng = random.Random(11)
     for _ in range(50):

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heunops.field import FieldElement, Q, fe, ONE, ZERO
 from heunops.poly import P_ONE, P_X, Polynomial, poly_x_minus
 from heunops.ratfunc import (LogObstructionError, PoleError, RationalFunction,
-                             UnexplainedFactorError, _reconstruct_rational,
-                             antiderivative, partial_fractions, pole_order,
-                             poly_roots, rf)
+                             UnexplainedFactorError, antiderivative,
+                             partial_fractions, pole_order, poly_roots, rf)
 
 
 def one_over(poly):
@@ -204,7 +203,7 @@ def test_subst_inverse():
     assert abs(g.eval_complex(x) - 1 / (1 / x - 2)) < 1e-12
 
 
-# -- rational reconstruction against the limit_denominator loop --------------
+# -- poly_roots against the candidate loop it replaced ------------------------
 
 def _reference_reconstruct_rational(value):
     """One Fraction.limit_denominator call per denominator limit."""
@@ -217,48 +216,17 @@ def _reference_reconstruct_rational(value):
     return out
 
 
-@st.composite
-def reconstruction_inputs(draw):
-    """Random floats, exact dyadics (where limit_denominator's two distances
-    can tie), 0, and values within 1e-9 of a small k/q, of either sign."""
-    kind = draw(st.sampled_from(("float", "dyadic", "zero", "near")))
-    if kind == "float":
-        return draw(st.floats(-1e6, 1e6, allow_nan=False))
-    if kind == "dyadic":
-        return draw(st.integers(-4096, 4096)) / 2 ** draw(st.integers(0, 40))
-    if kind == "zero":
-        return 0.0
-    k, q = draw(st.integers(-200, 200)), draw(st.integers(1, 5000))
-    return k / q + draw(st.floats(-1e-9, 1e-9, allow_nan=False))
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(value=reconstruction_inputs())
-def test_reconstruct_rational_matches_limit_denominator(value):
-    got = _reconstruct_rational(value)
-    want = _reference_reconstruct_rational(value)
-    assert got == want
-    assert all(type(c) is Fraction for c in got)
-
-
-def test_reconstruct_rational_tie_keeps_the_convergent():
-    # k + 1/2 lies as far from k as from k + 1; limit_denominator(1)
-    # returns the convergent floor(k + 1/2)
-    assert _reconstruct_rational(0.5) == [Fraction(0), Fraction(1, 2)]
-    assert _reconstruct_rational(-2.5) == [Fraction(-3), Fraction(-5, 2)]
-
-
-# -- poly_roots against the candidate loop it replaced ------------------------
-
 def _reference_poly_roots(p):
-    """poly_roots as a plain loop: a FieldElement candidate for every pair of
-    reconstructed parts, the window applied to it, Polynomial.eval to
-    certify it."""
+    """The continued-fraction search poly_roots used before the rational
+    root theorem, as a plain loop: a FieldElement candidate for every pair
+    of reconstructed parts within 1e-6 of a numeric root of p, certified by
+    Polynomial.eval.  It misses roots that np.roots scatters by more than
+    1e-6, such as triple ones, so it is a lower bound."""
     numeric_roots = np.roots([c.to_complex() for c in reversed(p.coeffs)])
     exact, remaining = [], p
     for z in numeric_roots:
-        for re_c in _reconstruct_rational(float(z.real)):
-            for im_c in _reconstruct_rational(float(z.imag)):
+        for re_c in _reference_reconstruct_rational(float(z.real)):
+            for im_c in _reference_reconstruct_rational(float(z.imag)):
                 cand = FieldElement.make(Q(re_c.numerator, re_c.denominator),
                                          Q(im_c.numerator, im_c.denominator))
                 if any(cand == e for e, _ in exact):
@@ -285,29 +253,64 @@ def _reference_poly_roots(p):
 
 @st.composite
 def planted_root_polys(draw):
-    """A product of linear factors at Gaussian rationals with denominators
-    up to 16, some doubled, times near misses: x^2 - r with r just above
-    (k/q)^2, whose irrational roots lie within 1e-6 of k/q."""
+    """(p, planted): a product of linear factors at Gaussian rationals with
+    denominators up to 16, of multiplicity 1 to 3, times near misses: x^2 - r
+    with r just above (k/q)^2, whose irrational roots lie within 1e-6 of
+    k/q.  planted maps each root to its multiplicity."""
     def part():
         return fe(draw(st.integers(-20, 20)), draw(st.integers(1, 16))).ar
 
     p = Polynomial([fe(draw(st.integers(1, 6)), draw(st.integers(1, 6)))])
+    planted = {}
     for _ in range(draw(st.integers(0, 3))):
         root = FieldElement.make(part(), part() if draw(st.booleans()) else 0)
-        p = p * poly_x_minus(root) ** draw(st.integers(1, 2))
+        mult = draw(st.integers(1, 3))
+        p = p * poly_x_minus(root) ** mult
+        planted[root] = planted.get(root, 0) + mult
     for _ in range(draw(st.integers(0, 1))):
         k, q = draw(st.integers(1, 9)), draw(st.integers(1, 16))
         r = fe(k * k, q * q) + fe(1, 10 ** draw(st.integers(6, 8)))
         p = p * Polynomial([-r, ZERO, ONE])
-    return p
+    return p, planted
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(p=planted_root_polys())
-def test_poly_roots_matches_the_reference_loop(p):
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=planted_root_polys())
+def test_poly_roots_finds_every_planted_root(backend, case):
+    """Under the backend fixture; its mpq run is skipped where gmpy2 is not
+    installed."""
+    p, planted = case
     exact, numeric = poly_roots(p)
-    assert (exact, numeric) == _reference_poly_roots(p)
+    assert len(exact) == len(planted) and dict(exact) == planted
+    assert len(numeric) == p.degree - sum(planted.values())
+    reference = _reference_poly_roots(p)
+    assert set(reference[0]) <= set(exact)
+    if all(mult == 1 for mult in planted.values()):
+        assert (exact, numeric) == reference
     product = Polynomial([p.leading])
     for root, mult in exact:
         product = product * poly_x_minus(root) ** mult
     assert (p % product).is_zero
+
+
+def test_poly_roots_triple_roots():
+    half = fe(1, 2)
+    assert poly_roots(poly_x_minus(half) ** 3) == ([(half, 3)], [])
+    p = P_X ** 3 * poly_x_minus(ONE) ** 2 * poly_x_minus(half) ** 3
+    exact, numeric = poly_roots(p)
+    assert not numeric
+    assert sorted(exact, key=lambda e: e[0].ar) == [
+        (ZERO, 3), (half, 3), (ONE, 2)]
+
+
+def test_poly_roots_refines_a_large_denominator():
+    # L = 2*10^20 and about 10^21: a double-precision root no longer pins
+    # round(L*z), so z is refined by Newton's method before rounding (the
+    # second case needs it: unrefined, 123456789/1000000007 stays numeric)
+    for root, big in (((1, 2), 10 ** 20), ((123456789, 1000000007), 10 ** 12)):
+        p = poly_x_minus(fe(*root)) * Polynomial([fe(-1), fe(big)])
+        exact, numeric = poly_roots(p)
+        assert not numeric
+        assert sorted(exact, key=lambda e: e[0].ar) == [
+            (fe(1, big), 1), (fe(*root), 1)]

@@ -13,7 +13,8 @@ from heunops.families import FAMILIES
 from heunops.poly import Polynomial
 from heunops.ratfunc import RationalFunction
 from heunops.series import (FrobeniusSolution, IrregularSingularPointError,
-                            ResonanceError, circle_points, frobenius_series,
+                            ResonanceError, _nearest_pole_distance,
+                            circle_points, frobenius_series,
                             indicial_roots, series_residual, series_residuals)
 
 
@@ -308,6 +309,17 @@ def _series_factors(record, seed=0):
     rho = eval_scalar(record.series.get("exponent", "0"), full)
     return compose(q, p), factors, x0, rho, cat._series_radius(p, x0)
 
+
+
+def test_nearest_pole_distance_reads_triple_poles_exactly():
+    # at seed 0, draw 0, heun.n2.case1 has a = 1/2 and L's leading
+    # denominator x^3 (x - 1)^2 (x - 1/2)^3; confluent.n2.case1 has the
+    # triple root 1 (np.roots alone scatters a triple root by about 1e-5)
+    for case, distance in (("heun.n2.case1", 0.5),
+                           ("confluent.n2.case1", 1.0)):
+        l_op, _, x0, _, _ = _series_factors(cat.get_case(case))
+        assert x0 == ZERO
+        assert _nearest_pole_distance(l_op, ZERO) == distance
 
 def test_truncations_are_prefixes_of_one_recurrence():
     records = _series_records()
