@@ -18,6 +18,10 @@ verify_case rebuilds everything from exact arithmetic:
     output (several published entries are known typos), never failures,
   * the numeric Wronskian at x = 1/3 certifies basis independence.
 
+A verdict without an explicit env builds its draw once: the resolved env,
+the basis functions and the Wronskian value that accepted the draw are the
+ones the verdict checks and reports.
+
 The published-value constants in the tables use the catalog's own labeling
 of the companion constants (beta0/beta1/beta2); construction_spec maps those
 labels to the construction's constants with the relabeling rows of the
@@ -31,6 +35,7 @@ import random
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .field import FieldElement, ONE, Q, ZERO, fe
 from .diffop import (DiffOp, commutator, compose, gauge_transform,
@@ -159,6 +164,16 @@ def _draw_rational(rng: random.Random, nonint: bool) -> FieldElement:
         return fe(num, den)
 
 
+class _Draw(NamedTuple):
+    """One accepted draw: the catalog-labeled env, its resolved full env,
+    the basis functions (basis_P + basis_Q, in order) and their numeric
+    Wronskian at x = 1/3 (None for an empty basis)."""
+    env: dict
+    full: dict
+    funcs: list
+    wronskian: complex | None
+
+
 def draw_env(record: CaseRecord, seed: int, index: int,
              overrides: dict | None = None) -> dict:
     """Concrete admissible parameters for one verification run.
@@ -169,6 +184,12 @@ def draw_env(record: CaseRecord, seed: int, index: int,
     (pairwise distinct growth signatures, no pole at the Wronskian point)
     all hold.
     """
+    return _draw(record, seed, index, overrides).env
+
+
+def _draw(record: CaseRecord, seed: int, index: int,
+          overrides: dict | None = None) -> _Draw:
+    """The draw behind draw_env, with everything its acceptance built."""
     rng = random.Random(f"{seed}|{record.id}|{index}")
     for _attempt in range(500):
         env: dict = {}
@@ -203,8 +224,9 @@ def draw_env(record: CaseRecord, seed: int, index: int,
             full = resolve_env(record, env, overrides)
         except (ArithmeticError, ValueError):
             continue
-        if _basis_admissible(record, full):
-            return env
+        basis = _basis_admissible(record, full)
+        if basis is not None:
+            return _Draw(env, full, *basis)
     raise CatalogError(f"could not draw admissible parameters for {record.id}")
 
 
@@ -226,21 +248,23 @@ def resolve_env(record: CaseRecord, env: dict,
     return full
 
 
-def _basis_admissible(record: CaseRecord, env: dict) -> bool:
-    """Reject draws whose basis degenerates (coincident exponential rates,
-    pole at the Wronskian point): the numeric Wronskian must clear 1e-6."""
+def _basis_admissible(record: CaseRecord, env: dict):
+    """(funcs, Wronskian value at x = 1/3) for the basis of a resolved env,
+    or None for a draw whose basis degenerates (coincident exponential
+    rates, pole at the Wronskian point): the value must clear 1e-6.  An
+    empty basis is admissible, with value None."""
     try:
         funcs = [_basis_function(d, env)
                  for d in record.basis_P + record.basis_Q]
     except (ArithmeticError, ValueError):
-        return False
+        return None
     if not funcs:
-        return True
+        return funcs, None
     try:
         value = wronskian_numeric(funcs, complex(1 / 3))
     except (ArithmeticError, ValueError):
-        return False
-    return abs(value) > 1e-6
+        return None
+    return (funcs, value) if abs(value) > 1e-6 else None
 
 
 def _basis_function(descriptor, env: dict) -> FunctionSum:
@@ -577,16 +601,20 @@ def verify_case(record: CaseRecord, env: dict | None = None, seed: int = 0,
     """Full verdict for one record at concrete parameters.
 
     env carries the free parameters and companion constants (catalog labels);
-    when omitted, an admissible draw is taken from the seed.
+    when omitted, an admissible draw is taken from the seed.  The draw is
+    built once: the verdict reuses the resolved env, the basis functions and
+    the Wronskian value that accepting it built.  With an explicit env, the
+    basis and the Wronskian are built here.
     """
-    if record.kind == "no_nontrivial":
-        if env is None:
-            env = draw_env(record, seed, draw_index)
-        return _verify_no_nontrivial(record, resolve_env(record, env))
+    draw = None
     if env is None:
-        env = draw_env(record, seed, draw_index)
-    full = resolve_env(record, env)
-    verdict = _verify_once(record, full, with_series=with_series,
+        draw = _draw(record, seed, draw_index)
+        full = draw.full
+    else:
+        full = resolve_env(record, env)
+    if record.kind == "no_nontrivial":
+        return _verify_no_nontrivial(record, full)
+    verdict = _verify_once(record, full, draw, with_series=with_series,
                            truncations=truncations, radius=radius)
     if record.symmetric:
         # the mirrored branch swaps alpha and beta; the operator only sees
@@ -601,18 +629,25 @@ def verify_case(record: CaseRecord, env: dict | None = None, seed: int = 0,
     return verdict
 
 
-def _verify_once(record: CaseRecord, full: dict, with_series: bool,
-                 truncations, radius=None) -> VerificationVerdict:
+def _verify_once(record: CaseRecord, full: dict, draw: _Draw | None,
+                 with_series: bool, truncations,
+                 radius=None) -> VerificationVerdict:
     p, q = build_case(record, full)
     l_qp = compose(q, p)
     # operators are normalized, so Q∘P == P∘Q is the same fact as [P, Q] = 0
     commutes = l_qp == compose(p, q)
+    if draw is None:
+        # built lazily, so a failing basis function raises where it is used
+        funcs = (_basis_function(d, full)
+                 for d in record.basis_P + record.basis_Q)
+    else:
+        funcs = iter(draw.funcs)
     basis_results = []
     closed_forms = []
     for label, op, descriptors in (("P", p, record.basis_P),
                                    ("Q", q, record.basis_Q)):
-        for desc in descriptors:
-            f = _basis_function(desc, full)
+        for _ in descriptors:
+            f = next(funcs)
             closed_forms.append(f)
             by_factor = annihilates(op, f)
             by_l = annihilates(l_qp, f)
@@ -633,7 +668,8 @@ def _verify_once(record: CaseRecord, full: dict, with_series: bool,
             })
     wronskian = None
     if closed_forms and len(closed_forms) == l_qp.order:
-        value = wronskian_numeric(closed_forms, complex(1 / 3))
+        value = (wronskian_numeric(closed_forms, complex(1 / 3))
+                 if draw is None else draw.wronskian)
         wronskian = {"point": "1/3", "value": abs(value),
                      "ok": bool(abs(value) > 1e-8)}
     series_checks = []

@@ -15,6 +15,15 @@ operations insist that both operands share the same d (or that one of them is
 a base-field element).  That is enough for everything downstream, because each
 algebraic root (discriminant roots of a quadratic, indicial exponents, ...)
 is introduced and consumed within a single verification context.
+
+Products and inverses take a path by operand shape, each giving the
+components of the general formula: a rational operand scales only the
+nonzero components of the other, one Q product each; two operands of one
+real extension (real components, real d) multiply as
+(a + b*sqrt(d))(c + e*sqrt(d)) = (ac + be*d) + (ae + bc)*sqrt(d); Gaussian
+components or a Gaussian radicand take the general formula.  The inverse
+of a rational is one Q division, and an extension inverse, conj/norm, goes
+through the product paths.
 """
 
 from __future__ import annotations
@@ -234,16 +243,21 @@ class FieldElement:
         other = FieldElement._coerce(other)
         if other is None:
             return NotImplemented
+        if self.d is None and not self.ai:
+            return other._scale(self.ar)
+        if other.d is None and not other.ai:
+            return self._scale(other.ar)
         a, b, c, e = self.ar, self.ai, other.ar, other.ai
-        if self.d is None and other.d is None and not b and not e:
-            # rational * rational: one Q product instead of four
-            return _rational(a * c)
         d = self._join_d(other)
         if d is None:
             # plain Gaussian product
             return FieldElement._mk(a * c - b * e, a * e + b * c, _Q0, _Q0, None)
         p, q_, r, s = self.br, self.bi, other.br, other.bi
         dr, di = d
+        if not (b or e or q_ or s or di):
+            # both in one real extension: (a + p√d)(c + r√d)
+            return FieldElement._mk(a * c + p * r * dr, _Q0,
+                                    a * r + p * c, _Q0, d)
         # (A + B sqrt(d))(C + E sqrt(d)) = AC + BE d + (AE + BC) sqrt(d)
         ac_re = a * c - b * e
         ac_im = a * e + b * c
@@ -258,6 +272,15 @@ class FieldElement:
         return FieldElement._mk(ac_re + bed_re, ac_im + bed_im,
                                 ae_re + bc_re, ae_im + bc_im, d)
 
+    def _scale(self, q):
+        """q*self for a rational q: one Q product per nonzero component."""
+        if self.d is None and not self.ai:
+            return _rational(q * self.ar)
+        ar, ai, br, bi = self.ar, self.ai, self.br, self.bi
+        return FieldElement._mk(q * ar if ar else _Q0, q * ai if ai else _Q0,
+                                q * br if br else _Q0, q * bi if bi else _Q0,
+                                self.d)
+
     __rmul__ = __mul__
 
     def conjugate_ext(self):
@@ -267,6 +290,8 @@ class FieldElement:
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
+        if self.d is None and not self.ai:
+            return _rational(_Q1 / self.ar)
         if self.d is None:
             n = self.ar * self.ar + self.ai * self.ai
             return FieldElement._mk(self.ar / n, -self.ai / n, _Q0, _Q0, None)

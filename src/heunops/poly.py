@@ -10,7 +10,9 @@ polynomial that such a kernel returns keeps that integer form as its value:
 degree, equality, sums, rational scaling and the next kernel read the form,
 and the FieldElement coefficient tuple is built only when something asks for
 `coeffs`.  Gaussian operands, a non-real d and mixed radicands take the
-FieldElement loops, as do division and gcds over any extension.  dot, the
+FieldElement loops, as do division and gcds over any extension.  The
+Taylor shift of a rational polynomial by a rational point is an integer
+Horner shift over the same form.  dot, the
 sum of products c*a*b that operator products are made of, accumulates
 rational operands on one integer list over one denominator.  No other
 module reads the integer form: they go through eval, vanishes_at, deflate,
@@ -272,10 +274,20 @@ class Polynomial:
         return _from_form((ints, form[1], roots, form[3]))
 
     def shift(self, c: FieldElement) -> "Polynomial":
-        """Taylor shift: the polynomial p(x + c) (Horner in x + c)."""
-        n = len(self.coeffs)
-        if n == 0:
+        """Taylor shift: the polynomial p(x + c).
+
+        For rational p and c = r/s this is the integer Horner shift by r
+        (von zur Gathen and Gerhard, ISSAC 1997) of s^(n-1) p(x/s), whose
+        entry j is then scaled by s^j; otherwise Horner in x + c over
+        FieldElement.
+        """
+        if self.is_zero:
             return self
+        form = self._int_form() if c.is_rational else False
+        if form:
+            return _from_form(_int_shift(*form, int(c.ar.numerator),
+                                         int(c.ar.denominator)))
+        n = len(self.coeffs)
         out = [self.coeffs[-1]]
         for k in range(n - 2, -1, -1):
             new = [ZERO] * (len(out) + 1)
@@ -425,6 +437,18 @@ def _convolve(a: list, b: list) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _int_shift(ints: list, den: int, r: int, s: int):
+    """Integer form of p(x + r/s) for nonzero p = ints/den and s > 0:
+    b_k = ints[k] * s^(n-1-k) is shifted in place by r, then entry j is
+    b_j * s^j over den * s^(n-1)."""
+    n = len(ints)
+    b = [x * s ** (n - 1 - k) for k, x in enumerate(ints)]
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            b[j] += r * b[j + 1]
+    return [x * s ** j for j, x in enumerate(b)], den * s ** (n - 1)
 
 
 def _gaussian_horner(ints, den, p, q, m) -> FieldElement:

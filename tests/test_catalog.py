@@ -1,5 +1,7 @@
 """Catalog registry and verification pipeline."""
 
+import dataclasses
+
 from heunops import catalog as cat
 from heunops.field import fe, ZERO
 from heunops.diffop import DiffOp, commutator, compose
@@ -211,3 +213,37 @@ def test_verify_all_decided_entries_carry_no_error_kind():
     report = cat.verify_all(seed=0, draws=1, with_series=False, cases=records)
     (entry,) = report["results"]
     assert entry["passed"] and "error_kind" not in entry
+
+
+def test_a_drawn_verdict_builds_its_draw_once(monkeypatch):
+    rec = cat.get_case("heun.n2.case2")
+    assert len(rec.basis_P + rec.basis_Q) == 4
+    calls = {}
+
+    def counted(name):
+        original = getattr(cat, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cat, name, wrapper)
+
+    names = ("resolve_env", "_basis_function", "wronskian_numeric")
+    for name in names:
+        counted(name)
+
+    def count(run):
+        calls.update(dict.fromkeys(names, 0))
+        result = run()
+        return result, dict(calls)
+
+    for d in range(3):
+        env, by_draw = count(lambda: cat.draw_env(rec, 0, d))
+        drawn, by_verdict = count(lambda: cat.verify_case(
+            rec, seed=0, draw_index=d, with_series=False))
+        assert by_verdict == by_draw
+        explicit = cat.verify_case(rec, env=env, seed=0, draw_index=d,
+                                   with_series=False)
+        assert drawn.wronskian is not None
+        # the dicts compare floats with ==, so the Wronskian is bit for bit
+        assert dataclasses.asdict(drawn) == dataclasses.asdict(explicit)

@@ -1,6 +1,7 @@
 """Field-level invariants: exact Gaussian rationals with one quadratic root."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -155,9 +156,20 @@ def _general_product(x, y, d):
     return (ac[0] + bed[0], ac[1] + bed[1], ae[0] + bc[0], ae[1] + bc[1])
 
 
+def _general_inverse(x, d):
+    """conj(x) * (1/N) with N = x*conj(x), by the general formulas."""
+    conj = SimpleNamespace(ar=x.ar, ai=x.ai, br=-x.br, bi=-x.bi)
+    n = _general_product(x, conj, d)
+    assert not (n[2] or n[3])
+    m = n[0] * n[0] + n[1] * n[1]
+    inv_n = SimpleNamespace(ar=n[0] / m, ai=-n[1] / m, br=n[2], bi=n[3])
+    return _general_product(conj, inv_n, d)
+
+
 def test_scalar_fast_paths_match_general_formulas(backend):
     rng = random.Random(11)
-    d = (backend(3), backend(1))
+    gaussian_d = (backend(3), backend(1))
+    real_d = (backend(2), backend(0))
     zero = (backend(0), backend(0))
 
     def rand_q():
@@ -169,11 +181,22 @@ def test_scalar_fast_paths_match_general_formulas(backend):
     def gaussian():
         return FieldElement.make(rand_q(), rand_q() or backend(1))
 
-    def extension():
-        return FieldElement.make(rand_q(), 0, rand_q() or backend(1), 0, d)
+    def extension(d):
+        def draw():
+            return FieldElement.make(rand_q(), 0, rand_q() or backend(1), 0, d)
+        return draw
 
+    def general():
+        return FieldElement.make(rand_q(), rand_q(), rand_q() or backend(1),
+                                 rand_q(), real_d)
+
+    real_ext, gaussian_ext = extension(real_d), extension(gaussian_d)
     pairs = ((rational, rational), (rational, gaussian),
-             (gaussian, gaussian), (rational, extension))
+             (gaussian, gaussian), (rational, gaussian_ext),
+             (rational, real_ext), (real_ext, real_ext),
+             (gaussian_ext, gaussian_ext), (gaussian, real_ext),
+             (gaussian, gaussian_ext), (rational, general),
+             (real_ext, general))
     for _ in range(100):
         for left, right in pairs:
             x, y = left(), right()
@@ -191,8 +214,18 @@ def test_scalar_fast_paths_match_general_formulas(backend):
                 for value in (product, a + b, a - b):
                     assert all(type(part) is backend for part in
                                (value.ar, value.ai, value.br, value.bi))
+        for shape in (rational, gaussian, real_ext, gaussian_ext, general):
+            a = shape()
+            if a.is_zero:
+                continue
+            inv = a.inverse()
+            assert (inv.ar, inv.ai, inv.br, inv.bi) == _general_inverse(
+                a, a.d if a.d is not None else zero)
+            assert all(type(part) is backend for part in
+                       (inv.ar, inv.ai, inv.br, inv.bi))
+            assert a * inv == ONE
     other = FieldElement.make(1, 0, 1, 0, (backend(2), backend(0)))
-    for x in (extension(), FieldElement.make(1, 0, 1, 0, d)):
+    for x in (gaussian_ext(), FieldElement.make(1, 0, 1, 0, gaussian_d)):
         for op in (lambda u, v: u * v, lambda u, v: u + v,
                    lambda u, v: u - v):
             with pytest.raises(ExtensionMismatchError):

@@ -670,6 +670,32 @@ def test_deflate_counts_the_vanishing_taylor_coefficients(backend, data):
             assert quotient is p
 
 
+def loop_shift(p, c):
+    """Reference Taylor shift: Horner in x + c over FieldElement."""
+    out = []
+    for a in reversed(p.coeffs):
+        new = [ZERO] * (len(out) + 1)
+        for j, v in enumerate(out):
+            new[j + 1] = new[j + 1] + v
+            new[j] = new[j] + v * c
+        new[0] = new[0] + a
+        out = new
+    return Polynomial(out)
+
+
+# Under the mpq backend these runs are skipped where gmpy2 is absent.
+@settings(_ORACLE_SETTINGS, max_examples=100)
+@given(data=st.data())
+def test_shift_matches_the_field_element_loop(backend, data):
+    scalars = data.draw(st.sampled_from([rationals, gaussians,
+                                         sqrt2_elements]))
+    p = Polynomial(data.draw(st.lists(scalars(), max_size=7)))
+    c = data.draw(st.one_of(rationals(), gaussians()))
+    shifted = p.shift(c)
+    assert shifted.coeffs == loop_shift(p, c).coeffs
+    assert shifted.shift(-c) == p
+
+
 @settings(_ORACLE_SETTINGS, max_examples=60)
 @given(data=st.data())
 def test_root_denominator_clears_every_gaussian_root(backend, data):
