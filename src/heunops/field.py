@@ -16,13 +16,10 @@ a base-field element).  That is enough for everything downstream, because each
 algebraic root (discriminant roots of a quadratic, indicial exponents, ...)
 is introduced and consumed within a single verification context.
 
-Products and inverses take a path by operand shape, each giving the
-components of the general formula: a rational operand scales only the
-nonzero components of the other, one Q product each; two operands of one
-real extension (real components, real d) multiply as
-(a + b*sqrt(d))(c + e*sqrt(d)) = (ac + be*d) + (ae + bc)*sqrt(d); Gaussian
-components or a Gaussian radicand take the general formula.  The inverse
-of a rational is one Q division, and an extension inverse, conj/norm, goes
+A product with a rational operand scales only the nonzero components of
+the other, one Q product each, giving the components of the general
+formula; every other product takes the general formula.  The inverse of a
+rational is one Q division, and an extension inverse, conj/norm, goes
 through the product paths.
 """
 
@@ -254,10 +251,6 @@ class FieldElement:
             return FieldElement._mk(a * c - b * e, a * e + b * c, _Q0, _Q0, None)
         p, q_, r, s = self.br, self.bi, other.br, other.bi
         dr, di = d
-        if not (b or e or q_ or s or di):
-            # both in one real extension: (a + p√d)(c + r√d)
-            return FieldElement._mk(a * c + p * r * dr, _Q0,
-                                    a * r + p * c, _Q0, d)
         # (A + B sqrt(d))(C + E sqrt(d)) = AC + BE d + (AE + BC) sqrt(d)
         ac_re = a * c - b * e
         ac_im = a * e + b * c
