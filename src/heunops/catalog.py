@@ -623,7 +623,7 @@ def verify_case(record: CaseRecord, env: dict | None = None, seed: int = 0,
         swapped = dict(full)
         swapped["alpha"], swapped["beta"] = full["beta"], full["alpha"]
         p_s, q_s = build_case(record, swapped)
-        commutes = compose(q_s, p_s) == compose(p_s, q_s)
+        commutes = commutator(p_s, q_s).is_zero
         verdict.commutator_zero &= commutes
         verdict.factorization_equal &= commutes
     return verdict
@@ -634,8 +634,7 @@ def _verify_once(record: CaseRecord, full: dict, draw: _Draw | None,
                  radius=None) -> VerificationVerdict:
     p, q = build_case(record, full)
     l_qp = compose(q, p)
-    # operators are normalized, so Q∘P == P∘Q is the same fact as [P, Q] = 0
-    commutes = l_qp == compose(p, q)
+    commutes = commutator(p, q).is_zero
     if draw is None:
         # built lazily, so a failing basis function raises where it is used
         funcs = (_basis_function(d, full)

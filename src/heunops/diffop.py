@@ -27,9 +27,15 @@ Each step of the derivative table and each output coefficient is one
 poly.dot, which sums the products on integer lists when the operands are
 rational, and each output coefficient is reduced once.  The commutator
 subtracts its two unreduced products over the lcm of their denominators, so
-a coefficient that cancels costs no gcd at all.  gauge_transform brings op
-and the powers (d + g')^k over common denominators the same way, so each of
-its coefficients is one dot and one reduction too.
+a coefficient that cancels costs no gcd at all.  The terms that take no
+derivative of the right operand (m = i, t = 0) are â_i N_j / (e d) in both
+A∘B and B∘A and cancel exactly, so the commutator builds neither, nor the
+power u^n that each product multiplies into them.  A DiffOp is immutable,
+so its common-denominator form and its derivative table are built once and
+cached on it (over_common_denominator, _rows); the table grows only as far
+as a product asks.  gauge_transform brings op and the powers (d + g')^k
+over common denominators the same way, so each of its coefficients is one
+dot and one reduction too.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ from .ratfunc import RF_ONE, RF_ZERO, RationalFunction
 
 
 class DiffOp:
-    __slots__ = ("coeffs",)
+    # _common and _table cache over_common_denominator and _rows; a DiffOp
+    # is immutable, so each is built at most once per operator
+    __slots__ = ("coeffs", "_common", "_table")
 
     def __init__(self, coeffs=()):
         cs = []
@@ -55,6 +63,7 @@ class DiffOp:
         while cs and cs[-1].is_zero:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._common = self._table = None
 
     @classmethod
     def _raw(cls, cs: list) -> "DiffOp":
@@ -62,6 +71,7 @@ class DiffOp:
             cs.pop()
         op = object.__new__(cls)
         op.coeffs = tuple(cs)
+        op._common = op._table = None
         return op
 
     @classmethod
@@ -131,8 +141,7 @@ class DiffOp:
         """Operator product self∘other (apply other first)."""
         if self.is_zero or other.is_zero:
             return DiffOp.zero()
-        nums, den = _product(over_common_denominator(self),
-                             over_common_denominator(other))
+        nums, den = _product(self, other)
         return DiffOp._raw([RationalFunction(num, den) for num in nums])
 
     def apply(self, f: RationalFunction) -> RationalFunction:
@@ -194,17 +203,16 @@ def _join(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def over_common_denominator(op: DiffOp):
     """(numerators, den): op's coefficients over the lcm of their
-    denominators."""
-    den = P_ONE
-    for c in op.coeffs:
-        den = _join(den, c.den)
-    nums = []
-    for c in op.coeffs:
-        if c.den == den:
-            nums.append(c.num)
-        else:
-            nums.append(c.num * (den if c.den.degree <= 0 else den // c.den))
-    return nums, den
+    denominators, the numerators as a tuple.  Built once per operator."""
+    if op._common is None:
+        den = P_ONE
+        for c in op.coeffs:
+            den = _join(den, c.den)
+        op._common = tuple(
+            c.num if c.den == den else
+            c.num * (den if c.den.degree <= 0 else den // c.den)
+            for c in op.coeffs), den
+    return op._common
 
 
 class DerivativeFrame:
@@ -253,27 +261,37 @@ class DerivativeFrame:
         return self.d if p is P_ONE else self.d * p
 
 
-def _product(a, b):
-    """a∘b for operators given as (numerators, den): its numerators over the
-    one denominator e d u^n, unreduced (see the module docstring)."""
-    (an, e), (bn, d) = a, b
-    n = len(an) - 1
-    frame = DerivativeFrame(d)
-    # table[j][t]: numerator of the t-th derivative of b_j over d u^t
-    table = []
-    for num in bn:
-        row = []
-        if not num.is_zero:
-            row.append(num)
+def _rows(op: DiffOp, n: int):
+    """(frame, table): the DerivativeFrame over op's common denominator d
+    and table[j][t], the numerator over d u^t of the t-th derivative of
+    coefficient j, for t <= n at least (an empty row for a zero
+    coefficient).  Cached, and extended only as far as n."""
+    cached = op._table
+    if cached is None:
+        nums, d = over_common_denominator(op)
+        cached = op._table = (DerivativeFrame(d),
+                              [[] if num.is_zero else [num] for num in nums])
+    frame, table = cached
+    for row in table:
+        if row:
             frame.extend(row, n)
-        table.append(row)
+    return cached
+
+
+def _product(a: DiffOp, b: DiffOp, first: int = 0):
+    """a∘b without the terms that take fewer than `first` derivatives of b:
+    its numerators over the one denominator e d u^n, unreduced (see the
+    module docstring)."""
+    an, e = over_common_denominator(a)
+    n = len(an) - 1
+    frame, table = _rows(b, n)
     powers = frame.powers(n)
     # terms[k]: the (C(i, t), â_i u^(n-t), N_{j,t}) triples of coefficient k
-    terms = [[] for _ in range(n + len(bn))]
+    terms = [[] for _ in range(n + len(table))]
     for i, num in enumerate(an):
         if num.is_zero:
             continue
-        for t in range(i + 1):
+        for t in range(first, i + 1):
             # a_i's share of every term that takes t derivatives of b
             c = comb(i, t)
             p = powers[n - t]
@@ -290,11 +308,11 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    """[a, b] = a∘b - b∘a, both products subtracted before reduction."""
+    """[a, b] = a∘b - b∘a, both products subtracted before reduction.  Their
+    t = 0 terms, â_i N_j d^(i+j) / (e d), cancel, so neither is built."""
     if a.is_zero or b.is_zero:
         return DiffOp.zero()
-    fa, fb = over_common_denominator(a), over_common_denominator(b)
-    (x, ex), (y, ey) = _product(fa, fb), _product(fb, fa)
+    (x, ex), (y, ey) = _product(a, b, first=1), _product(b, a, first=1)
     den = _join(ex, ey)
     if den != ex:
         m = den // ex

@@ -320,25 +320,27 @@ def partial_fractions(f: RationalFunction, poles) -> PartialFractionForm:
     UnexplainedFactorError carrying that factor.
     """
     poly_part, rem_num = f.num.divmod(f.den)
-    terms = []
-    den = f.den
-    seen = set()
-    mults = []
+    distinct = []
     for p in poles:
         p = FieldElement._coerce(p)
-        if p in seen:
-            continue
-        seen.add(p)
-        den, m = den.deflate(p)
+        if not any(p == q for q in distinct):
+            distinct.append(p)
+    # f.den(x + p) = x^m rest_s(x): m is the multiplicity of p
+    mults = []
+    for p in distinct:
+        shifted = f.den.shift(p).coeffs
+        m = next(k for k, c in enumerate(shifted) if not c.is_zero)
         if m:
-            mults.append((p, m))
-    if den.degree > 0:
-        raise UnexplainedFactorError(den)
-    for p, m in mults:
-        rest = f.den // (poly_x_minus(p) ** m)
+            mults.append((p, m, shifted[m:]))
+    if sum(m for _, m, _ in mults) != f.den.degree:
+        leftover = f.den
+        for p, m, _ in mults:
+            leftover = leftover // (poly_x_minus(p) ** m)
+        raise UnexplainedFactorError(leftover)
+    terms = []
+    for p, m, rest_s in mults:
         num_s = rem_num.shift(p)
-        rest_s = rest.shift(p)
-        inv = _series_inverse(list(rest_s.coeffs) + [ZERO] * m, m)
+        inv = _series_inverse(list(rest_s) + [ZERO] * m, m)
         # Taylor coefficients of rem_num/rest at p give the pole coefficients
         for j in range(1, m + 1):
             order_coeff = ZERO

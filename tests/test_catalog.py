@@ -1,8 +1,9 @@
 """Catalog registry and verification pipeline."""
 
 import dataclasses
+from fractions import Fraction
 
-from heunops import catalog as cat
+from heunops import catalog as cat, cli
 from heunops.field import fe, ZERO
 from heunops.diffop import DiffOp, commutator, compose
 from heunops.exprs import eval_scalar
@@ -113,6 +114,60 @@ def test_negative_control_overridden_parameter():
                        - full["delta"] - full["gamma"])
     p, q = cat.build_case(rec, full)
     assert not commutator(p, q).is_zero
+
+
+def test_commutator_decides_as_the_two_products_did(monkeypatch, capsys):
+    """[P, Q] = 0 exactly when Q∘P == P∘Q, the test verify_case ran before:
+    at draws 0-2 of every record (seed 0) and on the alpha<->beta mirror of
+    symmetric records, which commute, and on falsification controls, which
+    do not.  A control moves a record's first numeric fixed parameter by +1
+    through verify-case --override; the spy records the record and env that
+    the CLI hands to verify_case."""
+    decisions = []
+
+    def check(record, full):
+        envs = [full]
+        if record.symmetric:
+            swapped = dict(full)
+            swapped["alpha"], swapped["beta"] = full["beta"], full["alpha"]
+            envs.append(swapped)
+        for env in envs:
+            p, q = cat.build_case(record, env)
+            zero = commutator(p, q).is_zero
+            assert zero == (compose(q, p) == compose(p, q)), record.id
+            decisions.append(zero)
+
+    for record in cat.enumerate_cases():
+        for draw in range(3):
+            check(record, cat.resolve_env(record, cat.draw_env(record, 0, draw)))
+    assert True in decisions and False in decisions
+
+    handed = []
+    verify_case = cat.verify_case
+
+    def spy(record, env=None, seed=0, **_):
+        handed.append((record, env))
+        return verify_case(record, env=env, seed=seed, with_series=False)
+
+    monkeypatch.setattr(cat, "verify_case", spy)
+    decisions.clear()
+    for record in cat.enumerate_cases():
+        numeric = []
+        for name, expr in record.params.items():
+            try:
+                numeric.append((name, Fraction(expr)))
+            except ValueError:
+                pass
+        if not numeric:
+            continue
+        name, value = numeric[0]
+        cli.main(["verify-case", "--id", record.id, "--seed", "0",
+                  "--override", f"{name}={value + 1}"])
+        overridden, env = handed[-1]
+        assert name not in overridden.params
+        check(overridden, cat.resolve_env(overridden, env))
+    capsys.readouterr()
+    assert len(handed) == 31 and False in decisions
 
 
 def test_verify_all_deterministic_across_seeds():

@@ -13,13 +13,15 @@ import random
 from math import comb, factorial
 from pathlib import Path
 
+import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heunops.field import I, fe
 from heunops.poly import LaurentPolynomial, P_ONE, P_X, Polynomial, poly_x_minus
 from heunops.ratfunc import RF_ONE, RF_ZERO, RationalFunction
-from heunops.diffop import DiffOp, commutator, compose, gauge_transform
+from heunops.diffop import (DiffOp, commutator, compose, gauge_transform,
+                            over_common_denominator)
 from heunops.semicommute import SemiCommuteSpec, build_q1, build_q2
 from heunops.serialize import encode_diffop
 
@@ -310,11 +312,12 @@ _F = sp.Function("f")(_X)
 
 
 @st.composite
-def operator_pairs(draw, max_order=3):
-    """Two operators of order 0-3 over one drawn field.  Their denominators
-    are shared by every coefficient or drawn per coefficient, from 1, x,
-    x^2, (x-1)^2 (x+2), a random monic quadratic and x - s for the field's
-    generator s; numerators may be zero or constant."""
+def operator_lists(draw, orders):
+    """Operators over one drawn field, one per entry of orders; an entry of
+    None draws the order from 0-3.  Their denominators are shared by every
+    coefficient or drawn per coefficient, from 1, x, x^2, (x-1)^2 (x+2), a
+    random monic quadratic and x - s for the field's generator s; numerators
+    may be zero or constant."""
     gen = _EXTENSIONS[draw(st.sampled_from(sorted(_EXTENSIONS)))]
 
     def rational():
@@ -335,9 +338,10 @@ def operator_pairs(draw, max_order=3):
             choices.append(poly_x_minus(gen))
         return draw(st.sampled_from(choices))
 
-    def operator():
+    def operator(order):
         shared = den() if draw(st.booleans()) else None
-        order = draw(st.integers(0, max_order))
+        if order is None:
+            order = draw(st.integers(0, 3))
         coeffs = []
         for k in range(order + 1):
             num = Polynomial([scalar() for _ in range(draw(st.integers(0, 2)))])
@@ -346,7 +350,12 @@ def operator_pairs(draw, max_order=3):
             coeffs.append(RationalFunction(num, shared or den()))
         return DiffOp(coeffs)
 
-    return operator(), operator()
+    return [operator(order) for order in orders]
+
+
+def operator_pairs():
+    """Two operators of order 0-3 over one drawn field (operator_lists)."""
+    return operator_lists((None, None))
 
 
 def _sympy_rational(v):
@@ -388,7 +397,11 @@ class _SympyJets:
     """Operators applied to a symbolic f in sympy's field of rational
     functions in x over the constants the operators use.  A jet [c_0, c_1,
     ...] stands for sum c_k f^(k), and d acts on it as the derivation
-    (c_k f^(k))' = c_k' f^(k) + c_k f^(k+1)."""
+    (c_k f^(k))' = c_k' f^(k) + c_k f^(k+1).
+
+    coefficients() converts an operator once; each scalar is built with
+    domain arithmetic from the images of I and of each sqrt(radicand),
+    which domain.from_sympy computes once."""
 
     def __init__(self, *ops):
         exprs = [_to_sympy_rf(c) for op in ops for c in op.coeffs]
@@ -396,21 +409,57 @@ class _SympyJets:
         gens = {a for e in exprs for a in e.atoms(sp.Pow) if a.is_number}
         if any(e.has(sp.I) for e in exprs):
             gens.add(sp.I)
-        domain = sp.QQ.algebraic_field(*gens) if gens else sp.QQ
-        self.field, _ = sp.field([_X], domain)
+        self.domain = sp.QQ.algebraic_field(*gens) if gens else sp.QQ
+        self.field, _ = sp.field([_X], self.domain)
         self.x = self.field.ring.gens[0]
+        self._images = {}
+
+    def _image(self, expr):
+        """expr in the domain, through domain.from_sympy once."""
+        if expr not in self._images:
+            self._images[expr] = self.domain.from_sympy(expr)
+        return self._images[expr]
+
+    def _rational(self, v):
+        return self.domain.convert_from(
+            sp.QQ(int(v.numerator), int(v.denominator)), sp.QQ)
+
+    def _gaussian(self, re, im):
+        out = self._rational(re)
+        if im:
+            out += self._rational(im) * self._image(sp.I)
+        return out
+
+    def _scalar(self, c):
+        out = self._gaussian(c.ar, c.ai)
+        if c.d is not None:
+            root = sp.sqrt(_sympy_rational(c.d[0])
+                           + _sympy_rational(c.d[1]) * sp.I)
+            out += self._gaussian(c.br, c.bi) * self._image(root)
+        return out
+
+    def _poly(self, p):
+        ring = self.field.ring
+        return ring.from_dict({(k,): self._scalar(c)
+                               for k, c in enumerate(p.coeffs)
+                               if not c.is_zero})
+
+    def coefficients(self, op):
+        """op's coefficients as elements of the field."""
+        return [self.field(self._poly(c.num)) / self.field(self._poly(c.den))
+                for c in op.coeffs]
 
     def f(self):
         return [self.field.one]
 
-    def apply(self, op, jet):
+    def apply(self, coeffs, jet):
+        """The operator with the given field coefficients applied to jet."""
         zero = self.field.zero
-        out = [zero] * (len(jet) + op.order)
-        for k, c in enumerate(op.coeffs):
+        out = [zero] * (len(jet) + len(coeffs) - 1)
+        for k, coeff in enumerate(coeffs):
             if k:
                 jet = [self._derivative(a) + b
                        for a, b in zip(jet + [zero], [zero] + jet)]
-            coeff = self.field.from_expr(_to_sympy_rf(c))
             for t, a in enumerate(jet):
                 out[t] += coeff * a
         return out
@@ -439,16 +488,46 @@ def test_compose_and_commutator_match_the_leibniz_loop(pair):
     assert commutator(a, b) == ab - ba
 
 
+@settings(_DIFFOP_ORACLE, max_examples=20,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ops=operator_lists((None, 2, 0, 1, 3)))
+def test_a_reused_operator_matches_fresh_copies(backend, ops):
+    """One operator b serves as the right operand of left operands of
+    orders 2, 0, 1 and 3, in that order, so its cached derivative table is
+    read, then extended; commutators before and after read its cached
+    common-denominator form too.  Every result equals the Leibniz loop on
+    fresh copies, which share no cache with b."""
+    b, *lefts = ops
+
+    def fresh(op):
+        return DiffOp(op.coeffs)
+
+    ab = [_reference_compose(fresh(a), fresh(b)) for a in lefts]
+    ba = [_reference_compose(fresh(b), fresh(a)) for a in lefts]
+    assert commutator(lefts[0], b) == ab[0] - ba[0]
+    for a, want in zip(lefts, ab):
+        assert compose(a, b) == want
+    for a, x, y in zip(lefts, ab, ba):
+        assert commutator(b, a) == y - x
+    nums, den = over_common_denominator(b)
+    with pytest.raises(TypeError):
+        nums[0] = P_ONE
+    assert over_common_denominator(b) == over_common_denominator(fresh(b))
+
+
 @settings(_DIFFOP_ORACLE, max_examples=30)
 @given(pair=operator_pairs())
 def test_compose_and_commutator_match_sympy(pair):
     a, b = pair
     jets = _SympyJets(a, b)
-    ab = jets.apply(a, jets.apply(b, jets.f()))
-    ba = jets.apply(b, jets.apply(a, jets.f()))
-    assert jets.same(jets.apply(compose(a, b), jets.f()), ab)
-    assert jets.same(jets.apply(commutator(a, b), jets.f()),
-                     [x - y for x, y in zip(ab, ba)])
+    ca, cb = jets.coefficients(a), jets.coefficients(b)
+    ab = jets.apply(ca, jets.apply(cb, jets.f()))
+    ba = jets.apply(cb, jets.apply(ca, jets.f()))
+    assert jets.same(jets.apply(jets.coefficients(compose(a, b)), jets.f()),
+                     ab)
+    assert jets.same(
+        jets.apply(jets.coefficients(commutator(a, b)), jets.f()),
+        [x - y for x, y in zip(ab, ba)])
 
 
 @st.composite

@@ -9,9 +9,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heunops.field import FieldElement, Q, fe, ONE, ZERO
 from heunops.poly import P_ONE, P_X, Polynomial, poly_x_minus
-from heunops.ratfunc import (LogObstructionError, PoleError, RationalFunction,
-                             UnexplainedFactorError, antiderivative,
-                             partial_fractions, pole_order, poly_roots, rf)
+from heunops.ratfunc import (LogObstructionError, PartialFractionForm,
+                             PoleError, RationalFunction,
+                             UnexplainedFactorError, _series_inverse,
+                             antiderivative, partial_fractions, pole_order,
+                             poly_roots, rf)
 
 
 def one_over(poly):
@@ -136,6 +138,87 @@ def test_partial_fractions_higher_order_pole():
                          P_X ** 3 * poly_x_minus(ONE))
     form = partial_fractions(f, [ZERO, ONE])
     assert form.reassemble() == f
+
+
+def _reference_partial_fractions(f, poles):
+    """partial_fractions as it was: one deflation per distinct pole, then a
+    division of f.den by (x - p)^m and a shift of the quotient per pole."""
+    poly_part, rem_num = f.num.divmod(f.den)
+    terms = []
+    den = f.den
+    seen = set()
+    mults = []
+    for p in poles:
+        p = FieldElement._coerce(p)
+        if p in seen:
+            continue
+        seen.add(p)
+        den, m = den.deflate(p)
+        if m:
+            mults.append((p, m))
+    if den.degree > 0:
+        raise UnexplainedFactorError(den)
+    for p, m in mults:
+        rest = f.den // (poly_x_minus(p) ** m)
+        num_s = rem_num.shift(p)
+        rest_s = rest.shift(p)
+        inv = _series_inverse(list(rest_s.coeffs) + [ZERO] * m, m)
+        for j in range(1, m + 1):
+            order_coeff = ZERO
+            for t in range(m - j + 1):
+                c = num_s.coeff(t)
+                if not c.is_zero:
+                    order_coeff = order_coeff + c * inv[m - j - t]
+            if not order_coeff.is_zero:
+                terms.append((p, j, order_coeff))
+    return PartialFractionForm(poly_part, tuple(terms))
+
+
+@st.composite
+def partial_fraction_cases(draw):
+    """(f, poles): f has poles of order 0-3 at rational and Gaussian points,
+    sometimes times x^2 + 2.  The pole list names the poles in any order,
+    repeats some, adds points that are not poles, and sometimes leaves one
+    out, so that a factor is unexplained."""
+    def scalar():
+        return fe(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+
+    pool = draw(st.permutations(
+        [fe(0), fe(1), fe(-1, 2), fe(3, 2), fe(1) + fe(-1).sqrt(),
+         fe(-1).sqrt() * fe(1, 2)]))
+    den = P_ONE
+    poles = []
+    for p in pool:
+        m = draw(st.integers(0, 3))
+        den = den * poly_x_minus(p) ** m
+        if m or draw(st.booleans()):
+            poles += [p] * draw(st.integers(1, 2))
+    if poles and draw(st.integers(0, 4)) == 0:
+        poles.pop(draw(st.integers(0, len(poles) - 1)))
+    if draw(st.integers(0, 4)) == 0:
+        den = den * Polynomial([fe(2), ZERO, ONE])
+    num = Polynomial([scalar() for _ in range(draw(st.integers(0, 8)))])
+    return RationalFunction(num, den), poles
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=partial_fraction_cases())
+def test_partial_fractions_matches_the_deflating_loop(backend, case):
+    """One shift per pole gives the multiplicities, the terms and the
+    unexplained factor that deflating pole by pole gave."""
+    f, poles = case
+    try:
+        want = _reference_partial_fractions(f, poles)
+    except UnexplainedFactorError as err:
+        with pytest.raises(UnexplainedFactorError) as got:
+            partial_fractions(f, poles)
+        assert got.value.factor == err.factor
+        return
+    got = partial_fractions(f, poles)
+    assert got.polynomial_part == want.polynomial_part
+    assert got.pole_terms == want.pole_terms
+    assert got.reassemble() == f
 
 
 def test_antiderivative_pure_rational():
