@@ -14,9 +14,12 @@ FieldElement loops, as do division and gcds over any extension.  The
 Taylor shift of a rational polynomial by a rational point is an integer
 Horner shift over the same form.  dot, the
 sum of products c*a*b that operator products are made of, accumulates
-rational operands on one integer list over one denominator.  No other
+rational operands on one integer list over one denominator, and operands
+over one real Q(sqrt d) on two.  series_quotient, the Taylor coefficients
+of a quotient, runs over the integers for rational operands.  No other
 module reads the integer form: they go through eval, vanishes_at, deflate,
-root_denominator, dot and the arithmetic.
+root_denominator, valuation, dot, series_quotient, from_ints and the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -87,6 +90,14 @@ class Polynomial:
         return form if form and len(form) == 2 else False
 
     @classmethod
+    def from_ints(cls, ints, den: int = 1) -> "Polynomial":
+        """The polynomial sum_k ints[k]/den x^k, for integers ints and a
+        nonzero integer den, holding only its integer form."""
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        return _from_form((list(ints), den))
+
+    @classmethod
     def constant(cls, c) -> "Polynomial":
         return cls((c,))
 
@@ -115,6 +126,19 @@ class Polynomial:
 
     def coeff(self, k: int) -> FieldElement:
         return self.coeffs[k] if 0 <= k <= self.degree else ZERO
+
+    def valuation(self) -> int:
+        """The number of low zero coefficients: p = x^k q with q(0) != 0."""
+        if self.is_zero:
+            raise ValueError("zero polynomial has no valuation")
+        form = self._form()
+        if not form:
+            return next(k for k, c in enumerate(self.coeffs) if not c.is_zero)
+        parts = form[::2]  # (ints,), or (ints, roots) over Q(sqrt d)
+        k = 0
+        while not any(part[k] for part in parts):
+            k += 1
+        return k
 
     def is_constant(self) -> bool:
         return self.degree <= 0
@@ -400,20 +424,29 @@ def poly_x_minus(c) -> Polynomial:
 def dot(terms) -> Polynomial:
     """The polynomial sum c*a*b over a sequence of (c, a, b) triples, each c
     an int.  When every operand is rational, the products accumulate on one
-    integer list over the lcm of their denominators, and the result holds
-    only that integer form; any other operand takes Polynomial arithmetic."""
-    forms = []
+    integer list over the lcm of their denominators; when every operand is
+    rational or over one real extension Q(sqrt d), d = p/q, they accumulate
+    on two lists, ints and roots, over q times that lcm, as _ext_mul does
+    for one product.  The result holds only that integer form.  Gaussian operands and mixed
+    radicands take Polynomial arithmetic."""
+    forms, d = [], None
     for c, a, b in terms:
-        fa, fb = a._int_form(), b._int_form()
+        fa, fb = a._form(), b._form()
         if not (fa and fb):
-            acc = P_ZERO
-            for c, a, b in terms:
-                acc = acc + a * b * c
-            return acc
+            return _dot_loop(terms)
+        if len(fa) + len(fb) > 4:
+            for f in (fa, fb):
+                if len(f) == 4:
+                    if d is None:
+                        d = f[3]
+                    elif f[3] != d:
+                        return _dot_loop(terms)
         if c and fa[0] and fb[0]:
             forms.append((c, fa, fb))
     if not forms:
         return P_ZERO
+    if d is not None:
+        return _ext_dot(forms, d)
     den = math.lcm(*(fa[1] * fb[1] for _, fa, fb in forms))
     out = [0] * (max(len(fa[0]) + len(fb[0]) for _, fa, fb in forms) - 1)
     for c, (a, da), (b, db) in forms:
@@ -424,6 +457,79 @@ def dot(terms) -> Polynomial:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
     return _from_form((out, den))
+
+
+def _dot_loop(terms) -> Polynomial:
+    acc = P_ZERO
+    for c, a, b in terms:
+        acc = acc + a * b * c
+    return acc
+
+
+def _ext_dot(forms, d) -> Polynomial:
+    """The sum c*a*b over (c, form a, form b) triples with nonzero c, a and
+    b, rational or over Q(sqrt d), on two integer lists over one
+    denominator: with d = p/q,
+    (A1 + B1 sqrt d)(A2 + B2 sqrt d) q
+        = q A1A2 + p B1B2 + q (A1B2 + B1A2) sqrt d."""
+    p, q = d[0].numerator, d[0].denominator
+    den = math.lcm(*(fa[1] * fb[1] for _, fa, fb in forms))
+    int_terms, root_terms = [], []
+    for c, fa, fb in forms:
+        m = c * (den // (fa[1] * fb[1]))
+        a, b, mq = fa[0], fb[0], m * q
+        int_terms.append((mq, a, b))
+        if len(fb) == 4:
+            root_terms.append((mq, a, fb[2]))
+        if len(fa) == 4:
+            root_terms.append((mq, fa[2], b))
+            if len(fb) == 4:
+                int_terms.append((m * p, fa[2], fb[2]))
+    size = max(len(fa[0]) + len(fb[0]) for _, fa, fb in forms) - 1
+    ints, roots = [0] * size, [0] * size
+    for out, products in ((ints, int_terms), (roots, root_terms)):
+        for m, a, b in products:
+            for i, x in enumerate(a):
+                if x:
+                    x *= m
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+    return _from_form((ints, den * q, roots, d))
+
+
+def series_quotient(a: Polynomial, b: Polynomial, skip: int,
+                    n: int) -> list:
+    """The first n Taylor coefficients at 0 of a / (b / x^skip), where the
+    first skip coefficients of b are zero and the next, b0, is not.
+
+    For rational a = A/da and b = B/db, with B the entries from skip on,
+    the coefficient k is db Q_k / (da b0^(k+1)) for the integers
+    Q_k = A_k b0^k - sum_{i=1..k} B_i Q_(k-i) b0^(i-1); otherwise the
+    FieldElement recurrence c_k = (a_k - sum_i b_i c_(k-i)) / b0 runs."""
+    fa, fb = a._int_form(), b._int_form()
+    if fa and fb:
+        (ints, da), (rest, db) = fa, (fb[0][skip:], fb[1])
+        b0 = rest[0]
+        powers = [1]
+        for _ in range(n):
+            powers.append(powers[-1] * b0)
+        qs = []
+        for k in range(n):
+            acc = ints[k] * powers[k] if k < len(ints) else 0
+            for i in range(1, min(k, len(rest) - 1) + 1):
+                acc -= rest[i] * qs[k - i] * powers[i - 1]
+            qs.append(acc)
+        return [FieldElement.from_rational(db * x, da * powers[k + 1])
+                for k, x in enumerate(qs)]
+    rest = b.coeffs[skip:]
+    inv0 = rest[0].inverse()
+    out = []
+    for k in range(n):
+        acc = a.coeff(k)
+        for i in range(1, min(k, len(rest) - 1) + 1):
+            acc = acc - rest[i] * out[k - i]
+        out.append(acc * inv0)
+    return out
 
 
 # Integer kernels.  Integer polynomials are lists of Python ints, ascending

@@ -25,7 +25,7 @@ import numpy as np
 
 from .field import FieldElement, ZERO, Q, fe
 from .poly import (LaurentPolynomial, Polynomial, P_ONE, P_ZERO, P_X,
-                   poly_x_minus)
+                   poly_x_minus, series_quotient)
 
 
 class PoleError(ZeroDivisionError):
@@ -299,19 +299,6 @@ class PartialFractionForm:
         return total
 
 
-def _series_inverse(coeffs: list[FieldElement], n: int) -> list[FieldElement]:
-    """First n coefficients of 1 / (c0 + c1 t + ...), c0 != 0."""
-    inv0 = coeffs[0].inverse()
-    out = [inv0]
-    for k in range(1, n):
-        acc = ZERO
-        for j in range(1, k + 1):
-            cj = coeffs[j] if j < len(coeffs) else ZERO
-            acc = acc + cj * out[k - j]
-        out.append(-inv0 * acc)
-    return out
-
-
 def partial_fractions(f: RationalFunction, poles) -> PartialFractionForm:
     """Exact decomposition of f over the supplied pole locations.
 
@@ -328,28 +315,23 @@ def partial_fractions(f: RationalFunction, poles) -> PartialFractionForm:
     # f.den(x + p) = x^m rest_s(x): m is the multiplicity of p
     mults = []
     for p in distinct:
-        shifted = f.den.shift(p).coeffs
-        m = next(k for k, c in enumerate(shifted) if not c.is_zero)
+        shifted = f.den.shift(p)
+        m = shifted.valuation()
         if m:
-            mults.append((p, m, shifted[m:]))
+            mults.append((p, m, shifted))
     if sum(m for _, m, _ in mults) != f.den.degree:
         leftover = f.den
         for p, m, _ in mults:
             leftover = leftover // (poly_x_minus(p) ** m)
         raise UnexplainedFactorError(leftover)
     terms = []
-    for p, m, rest_s in mults:
-        num_s = rem_num.shift(p)
-        inv = _series_inverse(list(rest_s) + [ZERO] * m, m)
-        # Taylor coefficients of rem_num/rest at p give the pole coefficients
+    for p, m, shifted in mults:
+        # the Taylor coefficient m - j of rem_num/rest_s at p is the
+        # coefficient of 1/(x - p)^j
+        series = series_quotient(rem_num.shift(p), shifted, m, m)
         for j in range(1, m + 1):
-            order_coeff = ZERO
-            for t in range(m - j + 1):
-                c = num_s.coeff(t)
-                if not c.is_zero:
-                    order_coeff = order_coeff + c * inv[m - j - t]
-            if not order_coeff.is_zero:
-                terms.append((p, j, order_coeff))
+            if not series[m - j].is_zero:
+                terms.append((p, j, series[m - j]))
     return PartialFractionForm(poly_part, tuple(terms))
 
 

@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -623,6 +625,134 @@ def test_dot_edge_cases(backend):
     g = Polynomial([FieldElement.make(1, 2), fe(1)])
     assert poly.dot([(3, a, b), (1, g, a)]) == schoolbook_dot(
         [(3, a, b), (1, g, a)])
+
+
+def _loop_dot(terms):
+    """dot as the fallback computes it: acc + a*b*c, term by term."""
+    acc = Polynomial()
+    for c, a, b in terms:
+        acc = acc + a * b * c
+    return acc
+
+
+@st.composite
+def extension_dot_terms(draw, d):
+    """(c, a, b) triples whose operands are rational or over Q(sqrt d), with
+    zero operands, zero c, negated operands and kernel products among them;
+    sometimes one operand is over Q(sqrt 7) or Q(i) instead."""
+    radicand = (fe(d).ar, fe(0).ar)
+
+    def scalar(kind):
+        r = fe(draw(_ints), draw(_dens))
+        if kind == "ext":
+            return r + FieldElement.make(0, 0, fe(draw(_ints), draw(_dens)).ar,
+                                         0, radicand)
+        if kind == "other":
+            return r + FieldElement.make(0, 0, 1, 0, (7, 0))
+        if kind == "gaussian":
+            return r + FieldElement.make(0, fe(draw(_ints), draw(_dens)).ar)
+        return r
+
+    def operand(kind):
+        p = Polynomial([scalar(draw(st.sampled_from([kind, "rational"])))
+                        for _ in range(draw(st.integers(0, 4)))])
+        shape = draw(st.integers(0, 3))
+        if shape == 1:
+            p = -p
+        elif shape == 2:
+            p = p * Polynomial([scalar(kind), scalar("rational")])
+        return p
+
+    terms = [(draw(st.integers(-4, 4)),
+              operand(draw(st.sampled_from(["ext", "rational"]))),
+              operand(draw(st.sampled_from(["ext", "rational"]))))
+             for _ in range(draw(st.integers(0, 5)))]
+    odd = draw(st.sampled_from([None, "other", "gaussian"]))
+    if odd:
+        terms.insert(draw(st.integers(0, len(terms))),
+                     (draw(st.integers(-4, 4)), operand(odd),
+                      operand(draw(st.sampled_from(["ext", "rational"])))))
+    return terms
+
+
+@pytest.mark.parametrize("d", [2, -3, Fraction(5, 4)], ids=str)
+@settings(_ORACLE_SETTINGS, max_examples=80)
+@given(data=st.data())
+def test_dot_over_one_extension_matches_the_loop(backend, d, data):
+    """dot over Q(sqrt d) on integer lists equals the acc + a*b*c loop; mixed
+    radicands and Gaussian operands take that loop."""
+    terms = data.draw(extension_dot_terms(d))
+    try:
+        want = _loop_dot(terms)
+    except ExtensionMismatchError as err:
+        with pytest.raises(ExtensionMismatchError, match=re.escape(str(err))):
+            poly.dot(terms)
+        return
+    got = poly.dot(terms)
+    assert got == want and got.coeffs == want.coeffs
+    _assert_integer_form(got)
+
+
+def test_dot_over_one_extension_edge_cases(backend):
+    r2 = fe(2).sqrt()
+    a = Polynomial([fe(1, 2), r2, fe(-3)])
+    b = Polynomial([r2 * fe(1, 3), fe(2, 5)])
+    c = Polynomial([fe(4, 3), fe(-1)])
+    # the roots cancel: the result is rational and holds a rational form
+    got = poly.dot([(1, a, b), (-1, a, b), (2, c, c)])
+    assert got == c * c * 2 and len(got._ints) == 2
+    # sqrt(2) * sqrt(2) lands on the integer list
+    got = poly.dot([(3, Polynomial([r2]), Polynomial([r2, r2]))])
+    assert got == Polynomial([fe(6), fe(6)]) and got._coeffs is None
+    got = poly.dot([(2, a, b), (-1, c, a), (0, a, a)])
+    assert got._coeffs is None and len(got._ints) == 4
+    assert got == _loop_dot([(2, a, b), (-1, c, a)])
+
+
+# -- valuation and series_quotient ------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["rational", "gaussian", "sqrt2"])
+@settings(_ORACLE_SETTINGS, max_examples=60)
+@given(data=st.data())
+def test_series_quotient_matches_the_series_inverse(backend, kind, data):
+    """The first n Taylor coefficients of a / rest, b = x^skip rest, equal
+    a times the inverse series of rest, term by term over FieldElement;
+    valuation(b) is skip."""
+    scalars = _DOT_SCALARS[kind]
+    a = Polynomial(data.draw(st.lists(scalars(), max_size=5)))
+    rest = Polynomial(data.draw(st.lists(scalars(), min_size=1, max_size=4)))
+    assume(not rest.coeff(0).is_zero)
+    skip, n = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 6))
+    b = Polynomial.monomial(skip) * rest  # a product holds only its form
+    if data.draw(st.booleans()):
+        a, b = -a, -b
+    assert b.valuation() == skip
+    inv0 = b.coeff(skip).inverse()
+    inverse = []
+    for k in range(n):
+        acc = ZERO if k else fe(1)
+        for j in range(1, k + 1):
+            acc = acc - b.coeff(skip + j) * inverse[k - j]
+        inverse.append(acc * inv0)
+    want = []
+    for k in range(n):
+        acc = ZERO
+        for t in range(k + 1):
+            acc = acc + a.coeff(t) * inverse[k - t]
+        want.append(acc)
+    assert poly.series_quotient(a, b, skip, n) == want
+
+
+def test_valuation_edge_cases():
+    r2 = fe(2).sqrt()
+    assert Polynomial([fe(3)]).valuation() == 0
+    assert (Polynomial.monomial(2) * Polynomial([r2, fe(1)])).valuation() == 2
+    # a root part alone keeps a coefficient nonzero
+    assert Polynomial([ZERO, r2, fe(1)]).valuation() == 1
+    assert Polynomial([ZERO, FieldElement.make(0, 1)]).valuation() == 1
+    with pytest.raises(ValueError):
+        Polynomial().valuation()
 
 
 # -- vanishes_at: the rational root theorem over Z[i] ---------------------------

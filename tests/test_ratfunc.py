@@ -11,9 +11,8 @@ from heunops.field import FieldElement, Q, fe, ONE, ZERO
 from heunops.poly import P_ONE, P_X, Polynomial, poly_x_minus
 from heunops.ratfunc import (LogObstructionError, PartialFractionForm,
                              PoleError, RationalFunction,
-                             UnexplainedFactorError, _series_inverse,
-                             antiderivative, partial_fractions, pole_order,
-                             poly_roots, rf)
+                             UnexplainedFactorError, antiderivative,
+                             partial_fractions, pole_order, poly_roots, rf)
 
 
 def one_over(poly):
@@ -138,6 +137,19 @@ def test_partial_fractions_higher_order_pole():
                          P_X ** 3 * poly_x_minus(ONE))
     form = partial_fractions(f, [ZERO, ONE])
     assert form.reassemble() == f
+
+
+def _series_inverse(coeffs, n):
+    """First n coefficients of 1 / (c0 + c1 t + ...), c0 != 0."""
+    inv0 = coeffs[0].inverse()
+    out = [inv0]
+    for k in range(1, n):
+        acc = ZERO
+        for j in range(1, k + 1):
+            cj = coeffs[j] if j < len(coeffs) else ZERO
+            acc = acc + cj * out[k - j]
+        out.append(-inv0 * acc)
+    return out
 
 
 def _reference_partial_fractions(f, poles):
