@@ -579,9 +579,12 @@ def _series_radius(p: DiffOp, x0: FieldElement):
     """One tenth of the distance to the nearest other finite singularity
     (default distance 1 when there is none); exact rational for the real
     singularities of the catalog.  P is monic, so its finite singular points
-    are the roots of its coefficients' common denominator."""
+    are the roots of the lcm of its reduced coefficients' denominators: the
+    form of DiffOp(p.coeffs), since a product's own form may carry factors
+    that cancel."""
     best = None
-    for location, _mult in poly_roots(over_common_denominator(p)[1])[0]:
+    den = over_common_denominator(DiffOp(p.coeffs))[1]
+    for location, _mult in poly_roots(den)[0]:
         if location == x0:
             continue
         delta = location - x0

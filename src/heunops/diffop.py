@@ -7,9 +7,11 @@ functions are built on top of it.
 
 Products run over one common denominator (Bronstein and Petkovšek, *An
 introduction to pseudo-linear algebra*, 1996).  Each operand's coefficients
-are brought over the lcm of their denominators: A = (sum â_i d^i)/e and
-B = (sum N_j d^j)/d.  One derivative table serves both operator products
-and the application of an operator to a closed form r x^rho e^g
+are brought over a common denominator: A = (sum â_i d^i)/e and
+B = (sum N_j d^j)/d, where e and d are the lcm of the coefficients'
+denominators for an operator built from coefficients, and the denominator
+its kernel built for a product.  One derivative table serves both operator
+products and the application of an operator to a closed form r x^rho e^g
 (funcalg.apply_op).  For r = N/d, with the log-derivative h = H/E of
 x^rho e^g (no twist for a product), let g = gcd(d, d'), u = d/g,
 v = d'/g, W = lcm(u, E) and T = v (W/u) - H (W/E).  The k-th derivative
@@ -25,17 +27,25 @@ and T = v, and coefficient k of A∘B is
 with n = ord A and N_{j,t} the numerator of the t-th derivative of b_j.
 Each step of the derivative table and each output coefficient is one
 poly.dot, which sums the products on integer lists when the operands are
-rational, and each output coefficient is reduced once.  The commutator
-subtracts its two unreduced products over the lcm of their denominators, so
-a coefficient that cancels costs no gcd at all.  The terms that take no
-derivative of the right operand (m = i, t = 0) are â_i N_j / (e d) in both
-A∘B and B∘A and cancel exactly, so the commutator builds neither, nor the
-power u^n that each product multiplies into them.  A DiffOp is immutable,
-so its common-denominator form and its derivative table are built once and
-cached on it (over_common_denominator, _rows); the table grows only as far
-as a product asks.  gauge_transform brings op and the powers (d + g')^k
-over common denominators the same way, so each of its coefficients is one
-dot and one reduction too.
+rational.  The commutator subtracts its two unreduced products over the lcm
+of their denominators.  The terms that take no derivative of the right
+operand (m = i, t = 0) are â_i N_j / (e d) in both A∘B and B∘A and cancel
+exactly, so the commutator builds neither, nor the power u^n that each
+product multiplies into them.  gauge_transform brings op and the powers
+(d + g')^k over common denominators the same way, so each of its
+coefficients is one dot.
+
+A product (compose, commutator, gauge_transform) holds only this form: its
+numerators over one denominator, unreduced, with zero top numerators
+stripped.  Each coefficient is reduced when coeffs is first read, once.
+order and is_zero read the form, and == cross-multiplies two forms,
+x/da == y/db iff x db == y da, so a zero test or a comparison of products
+costs no gcd (a normal form suffices for them; the reduced coefficients are
+the canonical one: Geddes, Czapor and Labahn, *Algorithms for Computer
+Algebra*, 1992, ch. 3).  A DiffOp is immutable, so its coefficients, its
+common-denominator form and its derivative table are built once and cached
+on it (coeffs, over_common_denominator, _rows); the table grows only as far
+as a product asks.
 """
 
 from __future__ import annotations
@@ -47,9 +57,10 @@ from .ratfunc import RF_ONE, RF_ZERO, RationalFunction
 
 
 class DiffOp:
-    # _common and _table cache over_common_denominator and _rows; a DiffOp
-    # is immutable, so each is built at most once per operator
-    __slots__ = ("coeffs", "_common", "_table")
+    # _coeffs holds the reduced coefficients, None for a product until one
+    # is read; _common and _table cache over_common_denominator and _rows.
+    # A DiffOp is immutable, so each is built at most once per operator
+    __slots__ = ("_coeffs", "_common", "_table")
 
     def __init__(self, coeffs=()):
         cs = []
@@ -62,7 +73,7 @@ class DiffOp:
                 cs.append(RationalFunction.constant(c))
         while cs and cs[-1].is_zero:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._coeffs = tuple(cs)
         self._common = self._table = None
 
     @classmethod
@@ -70,9 +81,32 @@ class DiffOp:
         while cs and cs[-1].is_zero:
             cs.pop()
         op = object.__new__(cls)
-        op.coeffs = tuple(cs)
+        op._coeffs = tuple(cs)
         op._common = op._table = None
         return op
+
+    @classmethod
+    def _product_form(cls, nums: list, den: Polynomial) -> "DiffOp":
+        """The operator sum (nums[k] / den) d^k, its coefficients reduced
+        only when read."""
+        while nums and nums[-1].is_zero:
+            nums.pop()
+        if not nums:
+            return cls._raw(nums)
+        op = object.__new__(cls)
+        op._coeffs = op._table = None
+        op._common = tuple(nums), den
+        return op
+
+    @property
+    def coeffs(self) -> tuple:
+        """The reduced coefficients; coeffs[k] multiplies d^k."""
+        cs = self._coeffs
+        if cs is None:
+            nums, den = self._common
+            cs = self._coeffs = tuple(RationalFunction(num, den)
+                                      for num in nums)
+        return cs
 
     @classmethod
     def zero(cls) -> "DiffOp":
@@ -92,12 +126,14 @@ class DiffOp:
     # -- structure -------------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.order < 0
 
     @property
     def order(self) -> int:
-        """Operator order; the zero operator reports -1."""
-        return len(self.coeffs) - 1
+        """Operator order; the zero operator reports -1.  A product reads
+        it off its numerators, with no reduction."""
+        cs = self._coeffs
+        return (len(self._common[0]) if cs is None else len(cs)) - 1
 
     def coeff(self, k: int) -> RationalFunction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else RF_ZERO
@@ -141,8 +177,7 @@ class DiffOp:
         """Operator product self∘other (apply other first)."""
         if self.is_zero or other.is_zero:
             return DiffOp.zero()
-        nums, den = _product(self, other)
-        return DiffOp._raw([RationalFunction(num, den) for num in nums])
+        return DiffOp._product_form(*_product(self, other))
 
     def apply(self, f: RationalFunction) -> RationalFunction:
         """The operator applied to a rational function."""
@@ -160,9 +195,20 @@ class DiffOp:
 
     # -- comparisons ------------------------------------------------------------
     def __eq__(self, other):
+        """Equal reduced coefficients.  Unless both sides hold them, the
+        numerators are cross-multiplied over the two common denominators,
+        x/da == y/db iff x db == y da, with no reduction."""
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        if self._coeffs is not None and other._coeffs is not None:
+            return self._coeffs == other._coeffs
+        if self.order != other.order:
+            return False
+        (xs, da), (ys, db) = (over_common_denominator(self),
+                              over_common_denominator(other))
+        if da == db:
+            return xs == ys
+        return all(x * db == y * da for x, y in zip(xs, ys))
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -202,8 +248,10 @@ def _join(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def over_common_denominator(op: DiffOp):
-    """(numerators, den): op's coefficients over the lcm of their
-    denominators, the numerators as a tuple.  Built once per operator."""
+    """(numerators, den): op's coefficients over a common denominator, the
+    numerators as a tuple.  For an operator built from coefficients den is
+    the lcm of their denominators, built once; a product's is the form its
+    kernel built, which may carry factors that cancel on reduction."""
     if op._common is None:
         den = P_ONE
         for c in op.coeffs:
@@ -320,7 +368,7 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     if den != ey:
         m = den // ey
         y = [q * m for q in y]
-    return DiffOp._raw([RationalFunction(p - q, den) for p, q in zip(x, y)])
+    return DiffOp._product_form([p - q for p, q in zip(x, y)], den)
 
 
 def gauge_transform(op: DiffOp, g: LaurentPolynomial) -> DiffOp:
@@ -351,5 +399,4 @@ def gauge_transform(op: DiffOp, g: LaurentPolynomial) -> DiffOp:
             m = None if pd == den else den // pd
             for j, p in enumerate(pn):
                 terms[j].append((1, num, p if m is None else p * m))
-    e = e * den
-    return DiffOp._raw([RationalFunction(dot(ts), e) for ts in terms])
+    return DiffOp._product_form([dot(ts) for ts in terms], e * den)

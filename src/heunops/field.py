@@ -217,6 +217,8 @@ class FieldElement:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.d is None and not self.ai:
+            return _rational(-self.ar)
         return FieldElement._mk(-self.ar, -self.ai, -self.br, -self.bi, self.d)
 
     def __sub__(self, other):

@@ -91,7 +91,7 @@ class ExpMonomial:
         """Like-term key: terms merge iff they share (rho, g)."""
         return (self.rho, self.g)
 
-    def _table(self):
+    def _twisted_table(self):
         """(frame, rows): the derivative table of rat over its denominator,
         twisted by h = rho/x + g', with rows = [rat.num]."""
         h = RationalFunction.from_laurent(
@@ -99,7 +99,7 @@ class ExpMonomial:
         return DerivativeFrame(self.rat.den, h), [self.rat.num]
 
     def derivative(self) -> "ExpMonomial":
-        frame, rows = self._table()
+        frame, rows = self._twisted_table()
         frame.extend(rows, 1)
         return self._with_rat(RationalFunction(rows[1], frame.den(1)))
 
@@ -251,7 +251,7 @@ class FunctionSum:
         only as far as n."""
         tables = self._tables
         if tables is None:
-            tables = self._tables = [t._table() for t in self.terms]
+            tables = self._tables = [t._twisted_table() for t in self.terms]
         for frame, rows in tables:
             frame.extend(rows, n)
         return tables

@@ -92,10 +92,12 @@ class FrobeniusSolution:
 
 
 def _cleared_local_data(op: DiffOp, x0: FieldElement):
-    """Shifted polynomial coefficients (A2, A1, A0) with denominators cleared."""
+    """Shifted polynomial coefficients (A2, A1, A0), the reduced
+    coefficients over the lcm of their denominators (a product's own form
+    may carry a common factor that only lengthens the recurrence)."""
     if op.order != 2:
         raise ValueError("series machinery expects an order-2 operator")
-    nums, _ = over_common_denominator(op)
+    nums, _ = over_common_denominator(DiffOp(op.coeffs))
     return [num.shift(x0) for num in reversed(nums)]
 
 

@@ -312,13 +312,13 @@ _F = sp.Function("f")(_X)
 
 
 @st.composite
-def operator_lists(draw, orders):
-    """Operators over one drawn field, one per entry of orders; an entry of
-    None draws the order from 0-3.  Their denominators are shared by every
-    coefficient or drawn per coefficient, from 1, x, x^2, (x-1)^2 (x+2), a
-    random monic quadratic and x - s for the field's generator s; numerators
-    may be zero or constant."""
-    gen = _EXTENSIONS[draw(st.sampled_from(sorted(_EXTENSIONS)))]
+def operator_lists(draw, orders, fields=tuple(sorted(_EXTENSIONS))):
+    """Operators over one field drawn from fields, one per entry of orders;
+    an entry of None draws the order from 0-3.  Their denominators are
+    shared by every coefficient or drawn per coefficient, from 1, x, x^2,
+    (x-1)^2 (x+2), a random monic quadratic and x - s for the field's
+    generator s; numerators may be zero or constant."""
+    gen = _EXTENSIONS[draw(st.sampled_from(fields))]
 
     def rational():
         return fe(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
@@ -531,13 +531,18 @@ def test_compose_and_commutator_match_sympy(pair):
 
 
 @st.composite
+def exponents(draw):
+    """A Laurent polynomial with up to three terms of degree -2..3."""
+    return LaurentPolynomial({k: fe(draw(st.integers(-2, 2)),
+                                    draw(st.integers(1, 3)))
+                              for k in draw(st.sets(st.integers(-2, 3),
+                                                    max_size=3))})
+
+
+@st.composite
 def gauge_cases(draw):
     op, _ = draw(operator_pairs())
-    g = LaurentPolynomial({k: fe(draw(st.integers(-2, 2)),
-                                 draw(st.integers(1, 3)))
-                           for k in draw(st.sets(st.integers(-2, 3),
-                                                 max_size=3))})
-    return op, g
+    return op, draw(exponents())
 
 
 @settings(_DIFFOP_ORACLE, max_examples=60)
@@ -550,3 +555,112 @@ def test_gauge_transform_matches_the_reference_and_sympy(case):
                  sp.Integer(0))
     conjugated = sp.exp(-g_expr) * _sympy_apply(op, sp.exp(g_expr) * _F)
     assert _sympy_is_zero(conjugated - _sympy_apply(got, _F), op.order)
+
+
+# -- lazy products: coefficients are reduced when first read -------------------
+
+#: Fields of the lazy-product oracles.
+_LAZY_FIELDS = ("Q", "Q(i)", "Q(sqrt 2)")
+
+_LAZY_ORACLE = settings(_DIFFOP_ORACLE, max_examples=30,
+                        suppress_health_check=[
+                            HealthCheck.function_scoped_fixture])
+
+
+def _as_product(op):
+    """op as a product that holds only its form: op composed with the
+    identity, whose numerators sit over the lcm of op's denominators."""
+    return compose(op, DiffOp([RF_ONE]))
+
+
+def _products(a, b, g):
+    """(label, product, reference) for a∘b, b∘a, [a, b] and the conjugation
+    of a by e^g; each reference is the Leibniz loop on fresh copies."""
+    fa, fb = DiffOp(a.coeffs), DiffOp(b.coeffs)
+    ab, ba = _reference_compose(fa, fb), _reference_compose(fb, fa)
+    return [("a∘b", compose(a, b), ab), ("b∘a", compose(b, a), ba),
+            ("[a, b]", commutator(a, b), ab - ba),
+            ("gauge", gauge_transform(a, g), _reference_gauge(fa, g))]
+
+
+@_LAZY_ORACLE
+@given(ops=operator_lists((None, None), _LAZY_FIELDS), g=exponents())
+def test_products_reduce_to_the_leibniz_loop_when_read(backend, ops, g):
+    """A product holds only its form until a coefficient is read; its order
+    and zero test, read off the form, agree with the reduced coefficients,
+    which equal the Leibniz loop's tuple for tuple and are built once."""
+    a, b = ops
+    for label, got, want in _products(a, b, g):
+        assert got.is_zero == want.is_zero, label
+        assert got.order == want.order, label
+        assert got._coeffs is None or got.is_zero, label
+        assert got.coeffs == want.coeffs, label
+        assert got.coeffs is got.coeffs, label
+        assert got._coeffs is not None, label
+
+
+@_LAZY_ORACLE
+@given(ops=operator_lists((None, None), _LAZY_FIELDS), g=exponents())
+def test_product_equality_matches_the_reduced_tuples(backend, ops, g):
+    """== on products, lazy or not on either side, is equality of the
+    reduced coefficient tuples: equal operators over different common
+    denominators compare equal and hash equal, an operator that differs in
+    one coefficient compares unequal, and a zero commutator equals the zero
+    operator.  Comparisons leave a product unreduced."""
+    a, b = ops
+    bumps = (RationalFunction.from_polynomial(P_X),
+             RationalFunction(P_X, poly_x_minus(fe(1, 2))))
+    for label, got, want in _products(a, b, g):
+        reduced = want.coeffs
+        eager = DiffOp(reduced)
+        lazy = _as_product(eager)
+        for x, y in ((got, eager), (eager, got), (got, lazy), (lazy, got),
+                     (lazy, eager), (eager, lazy)):
+            assert x == y and not x != y, label
+        zero = DiffOp.zero()
+        assert (got == zero) == (zero == got) == (reduced == ()), label
+        for k in range(len(reduced) + 1):
+            # a polynomial bump keeps a polynomial product's denominator
+            cs = list(reduced) + [RF_ZERO]
+            cs[k] = cs[k] + bumps[k % 2]
+            other = DiffOp(cs)
+            assert other.coeffs != reduced, label
+            for x, y in ((got, other), (other, got),
+                         (got, _as_product(other)), (_as_product(other), got)):
+                assert x != y and not x == y, (label, k)
+        assert got._coeffs is None or got.is_zero, label
+        assert hash(got) == hash(eager) == hash(lazy), label
+    square = compose(a, a)
+    for c in (commutator(a, square), commutator(square, a)):
+        assert c.is_zero and c == DiffOp.zero() and DiffOp.zero() == c
+        assert hash(c) == hash(DiffOp.zero())
+
+
+def test_equality_across_denominators():
+    """x d + 1 as a product over x^2 (x - 2), unreduced, equals it over its
+    reduced denominator 1, in either order and lazy or not, and differs from
+    every operator that changes one coefficient, over the same denominator
+    or another."""
+    x = RationalFunction.from_polynomial(P_X)
+    h = P_X ** 2 * poly_x_minus(fe(2))
+    up = DiffOp.multiplication(RationalFunction.from_polynomial(h))
+    down = DiffOp.multiplication(RationalFunction(P_ONE, h))
+
+    def over_h(op):
+        return compose(up, compose(down, op))
+
+    want = DiffOp([RF_ONE, x])
+    got = over_h(want)
+    assert over_common_denominator(got)[1] == h
+    assert over_common_denominator(_as_product(want))[1] == P_ONE
+    for other in (want, _as_product(want), over_h(want)):
+        assert got == other and other == got
+    for k in (0, 1, 2):
+        cs = [RF_ONE, x, RF_ZERO]
+        cs[k] = cs[k] + RF_ONE
+        same_den = over_h(DiffOp(cs))
+        assert over_common_denominator(same_den)[1] == h
+        for other in (DiffOp(cs), _as_product(DiffOp(cs)), same_den):
+            assert got != other and other != got, k
+    assert got._coeffs is None
+    assert got.coeffs == want.coeffs and hash(got) == hash(want)

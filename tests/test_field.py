@@ -230,3 +230,30 @@ def test_scalar_fast_paths_match_general_formulas(backend):
                    lambda u, v: u - v):
             with pytest.raises(ExtensionMismatchError):
                 op(x, other)
+
+
+def test_negation_matches_the_componentwise_formula(backend):
+    """-a negates every component and keeps the radicand, on the rational
+    fast path and off it, and adds back to zero."""
+    rng = random.Random(13)
+
+    def rand_q():
+        return backend(rng.randint(-5, 5), rng.randint(1, 4))
+
+    shapes = (
+        lambda: FieldElement.make(rand_q()),
+        lambda: FieldElement.make(rand_q(), rand_q() or backend(1)),
+        lambda: FieldElement.make(rand_q(), 0, rand_q() or backend(1), 0,
+                                  (backend(2), backend(0))),
+        lambda: FieldElement.make(rand_q(), rand_q(), rand_q() or backend(1),
+                                  rand_q(), (backend(3), backend(1))))
+    for _ in range(50):
+        for shape in shapes:
+            a = shape()
+            got = -a
+            assert (got.ar, got.ai, got.br, got.bi, got.d) == (
+                -a.ar, -a.ai, -a.br, -a.bi, a.d)
+            assert all(type(part) is backend for part in
+                       (got.ar, got.ai, got.br, got.bi))
+            assert got.is_rational == a.is_rational
+            assert got + a == ZERO and -got == a

@@ -448,7 +448,7 @@ def test_twisted_table_matches_the_reduced_chain(backend, data):
     """rows[k] / (d W^k) is the reduced r_k for k <= 4; ExpMonomial's and
     FunctionSum's derivative() read row 1 of the same table."""
     t = data.draw(closed_form_terms(data.draw(fields())))
-    frame, rows = t._table()
+    frame, rows = t._twisted_table()
     frame.extend(rows, 4)
     chain = _reduced_chain(t, 4)
     for k, r in enumerate(chain):

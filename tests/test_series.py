@@ -7,13 +7,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heunops import catalog as cat
 from heunops.field import FieldElement, fe, Q, ONE, ZERO
-from heunops.diffop import DiffOp, compose
+from heunops.diffop import DiffOp, compose, over_common_denominator
 from heunops.exprs import eval_scalar
 from heunops.families import FAMILIES
-from heunops.poly import Polynomial
+from heunops.poly import Polynomial, poly_x_minus
 from heunops.ratfunc import RationalFunction
 from heunops.series import (FrobeniusSolution, IrregularSingularPointError,
-                            ResonanceError, _nearest_pole_distance,
+                            ResonanceError, _cleared_local_data,
+                            _nearest_pole_distance,
                             circle_points, frobenius_series,
                             indicial_roots, series_residual, series_residuals)
 
@@ -309,6 +310,25 @@ def _series_factors(record, seed=0):
     rho = eval_scalar(record.series.get("exponent", "0"), full)
     return compose(q, p), factors, x0, rho, cat._series_radius(p, x0)
 
+
+def test_a_product_form_keeps_singular_points_exact():
+    """A product's form can carry a factor that cancels once its
+    coefficients are reduced: here x - 1/20 in P's denominator.  The series
+    radius and the Frobenius data read the reduced coefficients, so the
+    spurious root neither shrinks the radius nor enters the recurrence."""
+    p = heun_op()
+    h = RationalFunction.from_polynomial(poly_x_minus(fe(1, 20)))
+    spurious = compose(DiffOp.multiplication(h),
+                       compose(DiffOp.multiplication(h.inverse()), p))
+    assert spurious == p
+    assert (over_common_denominator(spurious)[1] % h.num).is_zero
+    reduced = DiffOp(spurious.coeffs)
+    assert cat._series_radius(spurious, ZERO) == Q(1, 10)
+    assert cat._series_radius(reduced, ZERO) == Q(1, 10)
+    assert _cleared_local_data(spurious, ZERO) == \
+        _cleared_local_data(reduced, ZERO)
+    assert frobenius_series(spurious, ZERO, ZERO, 8).coeffs == \
+        frobenius_series(p, ZERO, ZERO, 8).coeffs
 
 
 def test_nearest_pole_distance_reads_triple_poles_exactly():
